@@ -50,17 +50,10 @@ func countInits(m *machineT, n *atomic.Int64) *machineT {
 	return &w
 }
 
-func bitLabels(n int, rng *rand.Rand) []string {
-	ls := make([]string, n)
-	for i := range ls {
-		ls[i] = string("01"[rng.Intn(2)])
-	}
-	ls[rng.Intn(n)] = "0" // at least one unselected node
-	return ls
-}
-
-// gameSet is the fixed games-cold rotation. The seed draws the labels
-// and the rotation order; leaves counts inits into every machine.
+// gameSet is the fixed games-cold rotation; leaves counts inits into
+// every machine. The seed draws only the rotation order: the labels
+// decide how far Eve's inner searches run, so seed-drawn labels made
+// the work of a rotation differ from seed to seed.
 func gameSet(seed int64, leaves *atomic.Int64) ([]*gameInst, error) {
 	rng := rand.New(rand.NewSource(seed))
 	parity := bitMachine("bench:triple-parity", func(label string, c []string) bool {
@@ -74,8 +67,8 @@ func gameSet(seed int64, leaves *atomic.Int64) ([]*gameInst, error) {
 		return len(c) >= 1 && c[0] == label && label == "1"
 	})
 	oneBit := bitMachine("bench:one-bit", func(_ string, c []string) bool { return len(c) >= 1 && len(c[0]) == 1 })
-	p5 := relabel(pathGraph(5), bitLabels(5, rng))
-	p7 := relabel(pathGraph(7), bitLabels(7, rng))
+	p5 := relabel(pathGraph(5), []string{"0", "1", "1", "0", "1"})
+	p7 := relabel(pathGraph(7), []string{"1", "0", "1", "1", "0", "1", "0"})
 	u := uniformDomain
 	set := []*gameInst{
 		// Σ3 with a single outer move: the universal level beneath it is
@@ -230,6 +223,18 @@ func runGames(c config) (*outcome, error) {
 	m.add("core.memo_hit_frac", ratio(memo.hits, memo.hits+memo.misses), "ratio")
 	m.add("core.memo_waits_per_op", float64(memo.waits)/ops, "count")
 	runtimeMetrics(before, after, len(lat), m)
+	// The experiments layer, which no end-to-end workload covers: one
+	// timed pass over the index, after the window, every report checked.
+	for _, e := range experimentIndex() {
+		t := time.Now()
+		ok := e.run()
+		m.add("experiments."+e.id+"_ms", ms(time.Since(t)), "ms")
+		out.attempted++
+		if !ok {
+			out.failed++
+			out.errs = append(out.errs, "experiment "+e.id+": report not OK")
+		}
+	}
 	return out, nil
 }
 
@@ -246,58 +251,5 @@ func batchEndToEnd(out *outcome, setups, lat []float64, wall time.Duration, heap
 	m.add("latency_tail_ms", tail, "ms")
 	m.add("ops_per_s", float64(len(lat))/wall.Seconds(), "1/s")
 	m.add("heap_peak_mb", heapMB, "MiB")
-	return out, nil
-}
-
-// runSweep runs sweep: one caller making pass after pass over the
-// experiment index with parallel search options; one op is one
-// experiment, and every report must be OK.
-func runSweep(c config) (*outcome, error) {
-	// Set-up is one pass outside the window, so every experiment's lazy
-	// initialization is paid before timing. A pass takes seconds, so it
-	// runs once rather than setupReps times.
-	t := time.Now()
-	index := experimentIndex()
-	for _, e := range index {
-		if !e.run() {
-			return nil, fmt.Errorf("experiment %s: report not OK", e.id)
-		}
-	}
-	setups := []float64{time.Since(t).Seconds()}
-	out := &outcome{metrics: metricSet{}, clients: 1}
-	var lat []float64
-	perExp := map[string][]float64{}
-	heap := startHeapSampler()
-	before := readUsage()
-	deadline := time.Now().Add(c.window)
-	// Whole passes only: the pass in progress at the deadline finishes,
-	// so every run weighs each experiment alike.
-	for i := 0; i%len(index) != 0 || time.Now().Before(deadline); i++ {
-		e := index[i%len(index)]
-		t := time.Now()
-		ok := e.run()
-		d := ms(time.Since(t))
-		out.attempted++
-		if !ok {
-			out.failed++
-			if len(out.errs) < 5 {
-				out.errs = append(out.errs, "experiment "+e.id+": report not OK")
-			}
-			continue
-		}
-		lat = append(lat, d)
-		perExp[e.id] = append(perExp[e.id], d)
-	}
-	after := readUsage()
-	heapMB := heap.finish()
-	if !c.traced {
-		return batchEndToEnd(out, setups, lat, after.wall.Sub(before.wall), heapMB, tailQuantile("sweep"))
-	}
-	m := out.metrics
-	zeroLayerMetrics(m)
-	for _, e := range index {
-		m.add("experiments."+e.id+"_ms", median(perExp[e.id]), "ms")
-	}
-	runtimeMetrics(before, after, len(lat), m)
 	return out, nil
 }

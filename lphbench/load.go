@@ -36,6 +36,28 @@ func percentile(vals []float64, q float64) (float64, bool) {
 	return s[rank-1], true
 }
 
+// segments is how many consecutive parts a serving phase is cut into;
+// the serving metrics are medians over the parts, so a burst of host
+// noise that covers one or two parts does not move them.
+const segments = 5
+
+// segmentQuantile cuts vals (in completion order) into segments equal
+// consecutive runs and returns the median of their q-quantiles; ok is
+// false when any run has fewer than minBeyond samples beyond its
+// quantile.
+func segmentQuantile(vals []float64, q float64) (float64, bool) {
+	n := len(vals) / segments
+	per := make([]float64, 0, segments)
+	for k := 0; k < segments; k++ {
+		v, ok := percentile(vals[k*n:(k+1)*n], q)
+		if !ok {
+			return 0, false
+		}
+		per = append(per, v)
+	}
+	return median(per), true
+}
+
 // median is the middle of vals (no reporting threshold: used for
 // per-layer timings and repeated set-up).
 func median(vals []float64) float64 {

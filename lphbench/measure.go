@@ -16,8 +16,11 @@ import (
 	"time"
 )
 
-// heapSampler records the peak live heap (the heap the last GC found
-// reachable) while the timed window runs.
+// heapSampler records the peak Go heap in use (objects live or not yet
+// swept) while the timed window runs. The live heap the last GC found
+// changes only once per GC, and on games-cold, whose live heap is about
+// 2 MiB, its peak spread by 0.27 of its median from run to run; the
+// heap in use peaks near the GC goal, which follows the live heap.
 type heapSampler struct {
 	stop chan struct{}
 	done chan struct{}
@@ -25,7 +28,7 @@ type heapSampler struct {
 	peak uint64
 }
 
-const liveHeapMetric = "/gc/heap/live:bytes"
+const liveHeapMetric = "/memory/classes/heap/objects:bytes"
 
 func readUint(name string) uint64 {
 	s := []metrics.Sample{{Name: name}}

@@ -19,8 +19,8 @@ if [[ ! -f "$root/go.mod" ]]; then
 	exit 2
 fi
 out="$root/.bench_build"
-mkdir -p "$out"
-export GOCACHE="$out/gocache" GOMODCACHE="$out/gomodcache" GOPATH="$out/gopath"
+mkdir -p "$out/tmp"
+export GOCACHE="$out/gocache" GOMODCACHE="$out/gomodcache" GOPATH="$out/gopath" GOTMPDIR="$out/tmp"
 export GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local GOTELEMETRY=off GOWORK=off
 (cd "$root/lphbench" && go build -o "$out/lphbench" .)
 exec "$out/lphbench" --root "$root" "$@"
