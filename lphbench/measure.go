@@ -28,7 +28,7 @@ type heapSampler struct {
 	peak uint64
 }
 
-const liveHeapMetric = "/memory/classes/heap/objects:bytes"
+const heapInUseMetric = "/memory/classes/heap/objects:bytes"
 
 func readUint(name string) uint64 {
 	s := []metrics.Sample{{Name: name}}
@@ -49,7 +49,7 @@ func readFloat(name string) float64 {
 }
 
 func startHeapSampler() *heapSampler {
-	h := &heapSampler{stop: make(chan struct{}), done: make(chan struct{}), peak: readUint(liveHeapMetric)}
+	h := &heapSampler{stop: make(chan struct{}), done: make(chan struct{}), peak: readUint(heapInUseMetric)}
 	go func() {
 		defer close(h.done)
 		t := time.NewTicker(10 * time.Millisecond)
@@ -59,7 +59,7 @@ func startHeapSampler() *heapSampler {
 			case <-h.stop:
 				return
 			case <-t.C:
-				v := readUint(liveHeapMetric)
+				v := readUint(heapInUseMetric)
 				h.mu.Lock()
 				if v > h.peak {
 					h.peak = v
@@ -75,7 +75,7 @@ func startHeapSampler() *heapSampler {
 func (h *heapSampler) finish() float64 {
 	close(h.stop)
 	<-h.done
-	if v := readUint(liveHeapMetric); v > h.peak {
+	if v := readUint(heapInUseMetric); v > h.peak {
 		h.peak = v
 	}
 	return float64(h.peak) / (1 << 20)
