@@ -173,11 +173,10 @@ func pathFor(property string) string {
 	return "/v1/verify"
 }
 
-// smallInstance is a 6- or 7-node labelled random graph for a Σ3
-// verify. (At 8 and 9 nodes one verify takes 60–250 ms, and the tail
-// latency of a run would hang on a handful of them.)
-func smallInstance(rng *rand.Rand) *graphT {
-	n := 6 + rng.Intn(2)
+// smallInstance is an n-node labelled random graph for a Σ3 verify,
+// with n 6 or 7. (At 8 and 9 nodes one verify takes 60–250 ms, and the
+// tail latency of a run would hang on a handful of them.)
+func smallInstance(rng *rand.Rand, n int) *graphT {
 	return randomConnected(n, 0.3, randomLabels(n, rng, 0.25, 0.35), rng)
 }
 
@@ -209,7 +208,6 @@ const (
 	hotJobFrac    = 0.05 // share of serve-hot ops that are job submits
 	hotIdemRepeat = 0.5  // share of job submits that reuse an earlier key
 	hotJob        = "figure5"
-	coldSmallFrac = 0.15 // share of serve-cold ops that are Σ3 verifies
 )
 
 // hotStream is serve-hot: a fixed hot set small enough for every
@@ -237,7 +235,7 @@ func hotStream(seed int64, n int) *stream {
 		}
 		for {
 			if i%4 == 0 {
-				g = smallInstance(rng)
+				g = smallInstance(rng, 6+rng.Intn(2))
 			} else {
 				g = largeInstance(rng, 20, 32, i%3)
 			}
@@ -277,33 +275,6 @@ func hotStream(seed int64, n int) *stream {
 			v = 1 + rng.Intn(hotVariants-1)
 		}
 		s.reqs = append(s.reqs, request{path: pathFor(k.property), body: k.variants[v], want: k.want, graph: k.graph})
-	}
-	return s
-}
-
-// coldStream is serve-cold: every op carries a graph no earlier op
-// carried, so every cache tier misses.
-func coldStream(seed int64, n int) *stream {
-	rng := rand.New(rand.NewSource(seed))
-	s := &stream{}
-	seen := map[string]bool{}
-	for len(s.reqs) < n {
-		var g *graphT
-		var prop string
-		if rng.Float64() < coldSmallFrac {
-			prop = sigma3Verifies[rng.Intn(len(sigma3Verifies))]
-			g = smallInstance(rng)
-		} else {
-			prop = largeProps[rng.Intn(len(largeProps))]
-			g = largeInstance(rng, 64, 256, rng.Intn(3))
-		}
-		h := graphHash(g)
-		if seen[h] {
-			continue
-		}
-		seen[h] = true
-		s.reqs = append(s.reqs, request{path: pathFor(prop), body: verdictBody(g, prop, rng, false),
-			want: truth(prop, g), graph: len(s.reqs)})
 	}
 	return s
 }

@@ -2,14 +2,11 @@ package main
 
 // tailQuantile is the percentile behind latency_tail_ms on each
 // workload, fixed per workload so runs compare like with like. It has
-// at least ten samples beyond it (in each segment, on the serving
-// workloads): serve-cold's open loop completes about two hundred ops
-// per segment and games-cold several hundred ops per run. serve-cold's
-// p90 would sit where its Σ3 verifies, the costliest 15% of its ops,
-// begin, and spread by 0.32 of its median over ten seeds. serve-hot's
-// p99 would land on the fsync'd job submits, 5% of its ops, whose
-// latency follows the shared disk and swung between 3 and 15 ms from
-// run to run; its p90 is the tail of the verdict ops.
+// at least ten samples beyond it: games-cold completes several hundred
+// ops per run. serve-hot's p99 would land on the fsync'd job submits,
+// 5% of its ops, whose latency follows the shared disk and swung
+// between 3 and 15 ms from run to run; its p90 is the tail of the
+// verdict ops.
 func tailQuantile(workload string) float64 {
 	if workload == "serve-hot" {
 		return 0.90

@@ -53,7 +53,6 @@ type config struct {
 
 var workloads = map[string]func(config) (*outcome, error){
 	"serve-hot":  func(c config) (*outcome, error) { return runServe(c, hotShape) },
-	"serve-cold": func(c config) (*outcome, error) { return runServe(c, coldShape) },
 	"games-cold": runGames,
 }
 
@@ -61,7 +60,7 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	fs := flag.NewFlagSet("lphbench", flag.ContinueOnError)
-	workload := fs.String("workload", "", "workload name: serve-hot, serve-cold or games-cold")
+	workload := fs.String("workload", "", "workload name: serve-hot or games-cold")
 	seed := fs.Int64("seed", 1, "input seed")
 	seconds := fs.Float64("seconds", 10, "length of the measured window")
 	trace := fs.Int("trace", 0, "0 = end-to-end metrics, tracing off; 1 = per-layer metrics from a traced pass")
@@ -71,7 +70,7 @@ func run() int {
 	}
 	wl, ok := workloads[*workload]
 	if !ok || *seconds <= 0 || (*trace != 0 && *trace != 1) {
-		fmt.Fprintln(os.Stderr, "usage: lphbench --workload serve-hot|serve-cold|games-cold --seed N --seconds S --trace 0|1")
+		fmt.Fprintln(os.Stderr, "usage: lphbench --workload serve-hot|games-cold --seed N --seconds S --trace 0|1")
 		return 2
 	}
 	absRoot, err := filepath.Abs(*root)

@@ -14,7 +14,7 @@ import (
 	"time"
 )
 
-// serveShape is what distinguishes serve-hot from serve-cold.
+// serveShape is a serving workload's stream and offered load.
 type serveShape struct {
 	name   string
 	stream func(seed int64, n int) *stream
@@ -25,13 +25,12 @@ type serveShape struct {
 	// and the open-loop latencies of whole runs multiplied.
 	rate float64
 	// maxOps bounds how many ops the closed loop can use; the stream is
-	// generated this long so serve-cold never repeats a graph.
+	// generated this long.
 	maxOps int
 }
 
 var (
-	hotShape  = serveShape{name: "serve-hot", stream: hotStream, rate: 2000, maxOps: 60000}
-	coldShape = serveShape{name: "serve-cold", stream: coldStream, rate: 100, maxOps: 5000}
+	hotShape = serveShape{name: "serve-hot", stream: hotStream, rate: 2000, maxOps: 60000}
 )
 
 // Share of the window given to the open-loop phase; the closed-loop
@@ -238,7 +237,7 @@ func timedPass(p *pool, s *stream, sh serveShape, window time.Duration) (*pass, 
 func (ps *pass) attempted() int { return ps.open.attempted + ps.closed.attempted }
 func (ps *pass) failed() int    { return ps.open.failed + ps.closed.failed }
 
-// runServe runs serve-hot or serve-cold.
+// runServe runs a serving workload.
 func runServe(c config, sh serveShape) (*outcome, error) {
 	window := c.window
 	if c.traced {
@@ -276,7 +275,7 @@ func runServe(c config, sh serveShape) (*outcome, error) {
 		m := out.metrics
 		m.add("setup_s", median(setups), "s")
 		p50, ok50 := segmentQuantile(ps.open.latMS, 0.50)
-		tail, okTail := segmentQuantile(ps.open.latMS, tailQuantile(sh.name))
+		tail, okTail := percentile(ps.open.latMS, tailQuantile(sh.name))
 		if !ok50 || !okTail {
 			return nil, fmt.Errorf("only %d open-loop samples: too few for the reported percentiles", len(ps.open.latMS))
 		}
