@@ -89,6 +89,8 @@ test-lifecycle:
 # FuzzReplayJournal over truncated/bit-flipped/garbage-extended
 # journal segments, and FuzzTraceparent over inbound W3C traceparent
 # headers (an invalid header must start a fresh trace, never error).
+# FuzzTupleCodec round-trips the Product/Relativize tuple messages and
+# feeds the decoder malformed ones, which must decode to empty parts.
 # Invariant for all: no panics; the journal replay additionally
 # recovers every record before the first corruption.
 fuzz:
@@ -97,6 +99,7 @@ fuzz:
 	$(GO) test -run=- -fuzz=FuzzIdempotencyKey -fuzztime=5s ./internal/service
 	$(GO) test -run=- -fuzz=FuzzReplayJournal -fuzztime=5s ./internal/journal
 	$(GO) test -run=- -fuzz=FuzzMemoKey -fuzztime=5s ./internal/core
+	$(GO) test -run=- -fuzz=FuzzTupleCodec -fuzztime=5s ./internal/core
 	$(GO) test -run=- -fuzz=FuzzTraceparent -fuzztime=5s ./internal/obs
 
 bench:
@@ -410,7 +413,7 @@ help:
 	@echo "make build       - go build ./..."
 	@echo "make test        - go test -race ./..."
 	@echo "make test-lifecycle - drain/shed/idempotency suite twice under -race (defeats caching, shakes out flakes)"
-	@echo "make fuzz        - 5s fuzz smokes: FuzzReadGraph + FuzzDecodeRequest + FuzzIdempotencyKey + FuzzReplayJournal + FuzzMemoKey + FuzzTraceparent"
+	@echo "make fuzz        - 5s fuzz smokes: FuzzReadGraph + FuzzDecodeRequest + FuzzIdempotencyKey + FuzzReplayJournal + FuzzMemoKey + FuzzTupleCodec + FuzzTraceparent"
 	@echo "make bench       - smoke-run every benchmark once"
 	@echo "make bench-json  - record every benchmark for BENCHTIME (default 200ms) in BENCH_pr10.json"
 	@echo "make bench-delta - fail if BENCH_pr10.json regresses an engine pair >10% vs BENCH_pr9.json, tracing overhead >10%, or router hop >2x"

@@ -8,6 +8,7 @@ package cert
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/search"
@@ -157,8 +158,29 @@ func (d Domain) Size() int {
 	return total
 }
 
-// strings0 lists all bit strings of length 0..maxLen in a fixed order.
+// stringsUpTo lists all bit strings of length 0..maxLen in a fixed
+// order: "", then each length in turn, in counting order. Lengths up to
+// sharedMaxLen are slices of one shared table (the list for maxLen is a
+// prefix of the list for maxLen+1), so compiling a domain allocates
+// nothing per node; callers must not modify the result.
 func stringsUpTo(maxLen int) []string {
+	if maxLen < 0 {
+		maxLen = 0
+	}
+	if maxLen <= sharedMaxLen {
+		n := 1<<uint(maxLen+1) - 1
+		return sharedStrings()[:n:n]
+	}
+	return bitStringsUpTo(maxLen)
+}
+
+// sharedMaxLen bounds the lengths served from the shared table (511
+// strings); exhaustive games never get near it.
+const sharedMaxLen = 8
+
+var sharedStrings = sync.OnceValue(func() []string { return bitStringsUpTo(sharedMaxLen) })
+
+func bitStringsUpTo(maxLen int) []string {
 	out := []string{""}
 	for l := 1; l <= maxLen; l++ {
 		for x := 0; x < 1<<uint(l); x++ {

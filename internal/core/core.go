@@ -22,7 +22,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -147,22 +146,14 @@ func (a *Arbiter) GameValueEngine(prep *simulate.Prepared, domains []cert.Domain
 		return false, fmt.Errorf("core: %d domains for level %v", len(domains), a.Level)
 	}
 	ev := newGameEval(a, prep, domains, e, false)
-	if len(domains) == 0 {
-		return ev.leaf(nil)
-	}
-	chosen := make([]cert.Assignment, len(ev.enums))
-	//lint:coarse allocation pass bounded by the level's alternation depth
-	for i, en := range ev.enums {
-		chosen[i] = make(cert.Assignment, en.Len())
-	}
-	return ev.eval(chosen, 1, e, true)
+	return ev.eval(ev.newContext(nil), 1, e, true)
 }
 
 // gameEval carries the state shared by every worker of one game
 // evaluation: the prepared simulation instance, the compiled per-level
 // domains, the optimization-layer state derived from the Engine (memo
-// seed, collected automorphisms, packed innermost enumerator, pooled
-// leaf buffers), and the first error raised by any leaf.
+// seed, collected automorphisms, packed innermost enumerator, leaf
+// buffer mode), and the first error raised by any leaf.
 type gameEval struct {
 	a     *Arbiter
 	prep  *simulate.Prepared
@@ -178,20 +169,37 @@ type gameEval struct {
 	// packed enumerates the innermost quantifier domain as a mixed-radix
 	// word (nil when the domain does not fit or bitsets are off).
 	packed *cert.Packed
-	// leafPool holds pooled per-worker leaf buffers (nil in reference
-	// mode, which then runs leaves through simulate.Prepared.Run).
+	// pooled selects leaf runs on reused buffers (simulate.RunAccepted);
+	// reference mode runs leaves through simulate.Prepared.Run.
+	pooled bool
+	// leafPool hands strategy games one leaf buffer set per leaf (nil
+	// for exhaustive games and in reference mode).
 	leafPool *search.Scratch[*leafScratch]
 
 	errOnce sync.Once
 	err     error
 }
 
-// leafScratch is one worker's leaf-execution buffer set: the per-node
+// leafScratch is one leaf-execution buffer set: the per-node
 // certificate lists (lists[u] aliases flat) and the simulate scratch.
 type leafScratch struct {
 	lists [][]string
 	flat  []string
 	sim   *simulate.Scratch
+}
+
+// seqContext is the state of one sequential context of an exhaustive
+// game: the top-level call, or one fan-out worker, which runs its share
+// of the fanned-out level and everything below it one choice at a time.
+// It is made once per context and passed down eval, evalLevel and
+// evalPackedLeaves, so a leaf costs no checkout.
+type seqContext struct {
+	// moves is the full move vector: entries below the context's own
+	// level alias the enclosing context's buffers (read-only while the
+	// context runs), the rest are buffers the context owns.
+	moves []cert.Assignment
+	// leaf is the context's leaf buffers (nil in reference mode).
+	leaf *leafScratch
 }
 
 // newGameEval compiles the domains and derives the optimization-layer
@@ -216,22 +224,41 @@ func newGameEval(a *Arbiter, prep *simulate.Prepared, domains []cert.Domain, eng
 			ev.seed = evalSeed(a, prep, ev.enums, eng.Salt)
 		}
 	}
-	if !eng.NoPool {
-		n := prep.Graph().N()
-		l := len(ev.enums)
-		ev.leafPool = search.NewScratch(func() *leafScratch {
-			ls := &leafScratch{
-				lists: make([][]string, n),
-				flat:  make([]string, n*l),
-				sim:   prep.NewScratch(),
-			}
-			for u := 0; u < n; u++ {
-				ls.lists[u] = ls.flat[u*l : (u+1)*l : (u+1)*l]
-			}
-			return ls
-		})
+	ev.pooled = !eng.NoPool
+	if ev.pooled && strategic {
+		ev.leafPool = search.NewScratch(ev.newLeafScratch)
 	}
 	return ev
+}
+
+// newLeafScratch allocates one leaf buffer set sized for the instance.
+func (ev *gameEval) newLeafScratch() *leafScratch {
+	n := ev.prep.Graph().N()
+	l := len(ev.enums)
+	ls := &leafScratch{
+		lists: make([][]string, n),
+		flat:  make([]string, n*l),
+		sim:   ev.prep.NewScratch(),
+	}
+	for u := 0; u < n; u++ {
+		ls.lists[u] = ls.flat[u*l : (u+1)*l : (u+1)*l]
+	}
+	return ls
+}
+
+// newContext starts a sequential context below the given move prefix:
+// it shares the prefix's buffers and owns one buffer per level beneath.
+func (ev *gameEval) newContext(prefix []cert.Assignment) *seqContext {
+	c := &seqContext{moves: make([]cert.Assignment, len(ev.enums))}
+	copy(c.moves, prefix)
+	//lint:coarse allocation pass bounded by the level's alternation depth
+	for j := len(prefix); j < len(ev.enums); j++ {
+		c.moves[j] = make(cert.Assignment, ev.enums[j].Len())
+	}
+	if ev.pooled {
+		c.leaf = ev.newLeafScratch()
+	}
+	return c
 }
 
 func (ev *gameEval) fail(err error) {
@@ -240,19 +267,18 @@ func (ev *gameEval) fail(err error) {
 
 // leaf executes the arbiter's machine on fully chosen certificates. The
 // game levels are the unit of parallelism, so each leaf runs its nodes
-// sequentially (identical results either way; see simulate). With the
-// pool enabled the run goes through simulate.Prepared.RunAccepted on
-// checked-out buffers; reference mode pays the allocating Run path.
-func (ev *gameEval) leaf(chosen []cert.Assignment) (bool, error) {
-	if ev.leafPool == nil {
+// sequentially (identical results either way; see simulate). With
+// buffers (ls non-nil) the run goes through
+// simulate.Prepared.RunAccepted; reference mode (ls nil) pays the
+// allocating Run path.
+func (ev *gameEval) leaf(ls *leafScratch, chosen []cert.Assignment) (bool, error) {
+	if ls == nil {
 		res, err := ev.prep.Run(ev.a.Machine, cert.NodeLists(chosen...), simulate.Options{Sequential: true})
 		if err != nil {
 			return false, err
 		}
 		return res.Accepted(), nil
 	}
-	ls, release := ev.leafPool.Get()
-	defer release()
 	var lists [][]string
 	if len(chosen) > 0 {
 		lists = ls.lists
@@ -266,23 +292,23 @@ func (ev *gameEval) leaf(chosen []cert.Assignment) (bool, error) {
 	return ev.prep.RunAccepted(ev.a.Machine, lists, 0, ls.sim)
 }
 
-// eval evaluates quantifier levels i..ℓ; chosen holds one assignment
-// buffer per level, with chosen[0..i-2] the moves already decoded above.
-// Subgames at the outer levels are served from the memo table when one
-// is configured — the whole-game entry (i == 1, empty prefix) is the
+// eval evaluates quantifier levels i..ℓ in the sequential context c,
+// whose c.moves[0..i-2] are the moves already decoded above. Subgames
+// at the outer levels are served from the memo table when one is
+// configured — the whole-game entry (i == 1, empty prefix) is the
 // warm-path hit that makes repeated evaluations of the same game a
 // single table lookup. par marks that no enclosing level has been fanned
 // out yet (see evalLevel).
-func (ev *gameEval) eval(chosen []cert.Assignment, i int, e Engine, par bool) (bool, error) {
+func (ev *gameEval) eval(c *seqContext, i int, e Engine, par bool) (bool, error) {
 	if i > len(ev.enums) {
-		return ev.leaf(chosen)
+		return ev.leaf(c.leaf, c.moves)
 	}
 	if ev.seed != "" && i <= memoMaxLevel {
-		return e.Memo.Do(e.Opts.Ctx, subkey(ev.seed, i, chosen[:i-1]), func() (bool, error) {
-			return ev.evalLevel(chosen, i, e, par)
+		return e.Memo.Do(e.Opts.Ctx, subkey(ev.seed, i, c.moves[:i-1]), func() (bool, error) {
+			return ev.evalLevel(c, i, e, par)
 		})
 	}
-	return ev.evalLevel(chosen, i, e, par)
+	return ev.evalLevel(c, i, e, par)
 }
 
 // evalLevel enumerates quantifier level i. par marks that no enclosing
@@ -294,51 +320,43 @@ func (ev *gameEval) eval(chosen []cert.Assignment, i int, e Engine, par bool) (b
 // orbit are skipped (value-preserving; see sym.go), and the innermost
 // level runs on the packed mixed-radix enumerator when the domain fits
 // a word.
-func (ev *gameEval) evalLevel(chosen []cert.Assignment, i int, e Engine, par bool) (bool, error) {
+func (ev *gameEval) evalLevel(c *seqContext, i int, e Engine, par bool) (bool, error) {
 	existential := ev.a.Level.ExistentialAt(i)
 	enum := ev.enums[i-1]
 	space := enum.Space()
 	sym := i == 1 && len(ev.autInv) > 0
 	if par && search.Splittable(e.Opts, space) {
-		// Fan this level out across the pool. chosen[0..i-2] are shared
+		// Fan this level out across the pool. c.moves[0..i-2] are shared
 		// read-only (the enclosing sequential enumerators only decode
-		// again after the pool drains); each worker gets pooled buffers
-		// for this level and the ones below it.
-		prefix := chosen[:i-1]
-		scratch := search.NewScratch(func() []cert.Assignment {
-			suffix := make([]cert.Assignment, len(ev.enums)-(i-1))
-			//lint:coarse allocation pass bounded by the level's alternation depth
-			for j := range suffix {
-				suffix[j] = make(cert.Assignment, ev.enums[i-1+j].Len())
+		// again after the pool drains); each worker is a sequential
+		// context of its own, with buffers for this level and the ones
+		// below it.
+		prefix := c.moves[:i-1]
+		newPred := func() search.Pred {
+			w := ev.newContext(prefix)
+			return func(choices []int) bool {
+				if sym && ev.symSkip(choices) {
+					// A pruned choice must not decide the quantifier: it
+					// neither witnesses the ∃ nor refutes the ∀.
+					return !existential
+				}
+				enum.Decode(choices, w.moves[i-1])
+				v, err := ev.eval(w, i+1, e, false)
+				if err != nil {
+					ev.fail(err)
+					// Short-circuit the enclosing quantifier so the pool
+					// drains: a witness for ∃, a counterexample for ∀.
+					return existential
+				}
+				return v
 			}
-			return suffix
-		})
-		pred := func(choices []int) bool {
-			if sym && ev.symSkip(choices) {
-				// A pruned choice must not decide the quantifier: it
-				// neither witnesses the ∃ nor refutes the ∀.
-				return !existential
-			}
-			suffix, release := scratch.Get()
-			defer release()
-			child := make([]cert.Assignment, 0, len(ev.enums))
-			child = append(append(child, prefix...), suffix...)
-			enum.Decode(choices, child[i-1])
-			v, err := ev.eval(child, i+1, e, false)
-			if err != nil {
-				ev.fail(err)
-				// Short-circuit the enclosing quantifier so the pool
-				// drains: a witness for ∃, a counterexample for ∀.
-				return existential
-			}
-			return v
 		}
 		var val bool
 		var err error
 		if existential {
-			val, err = search.Exists(e.Opts, space, pred)
+			val, err = search.ExistsPerWorker(e.Opts, space, newPred)
 		} else {
-			val, err = search.ForAll(e.Opts, space, pred)
+			val, err = search.ForAllPerWorker(e.Opts, space, newPred)
 		}
 		if ev.err != nil {
 			return false, ev.err
@@ -349,7 +367,7 @@ func (ev *gameEval) evalLevel(chosen []cert.Assignment, i int, e Engine, par boo
 		return val, nil
 	}
 	if i == len(ev.enums) && ev.packed != nil && !sym {
-		return ev.evalPackedLeaves(chosen, i, e, existential)
+		return ev.evalPackedLeaves(c, i, e, existential)
 	}
 	// Existential: succeed if some choice works. Universal: fail if
 	// some choice fails.
@@ -366,8 +384,8 @@ func (ev *gameEval) evalLevel(chosen []cert.Assignment, i int, e Engine, par boo
 		if sym && ev.symSkip(choices) {
 			return true
 		}
-		enum.Decode(choices, chosen[i-1])
-		v, err := ev.eval(chosen, i+1, e, par)
+		enum.Decode(choices, c.moves[i-1])
+		v, err := ev.eval(c, i+1, e, par)
 		if err != nil {
 			innerErr = err
 			return false
@@ -396,9 +414,9 @@ func (ev *gameEval) evalLevel(chosen []cert.Assignment, i int, e Engine, par boo
 // packed mixed-radix counter: every step rewrites only the certificate
 // strings touched by the carry and goes straight to a leaf run, which is
 // where a game evaluation spends almost all of its time.
-func (ev *gameEval) evalPackedLeaves(chosen []cert.Assignment, i int, e Engine, existential bool) (bool, error) {
+func (ev *gameEval) evalPackedLeaves(c *seqContext, i int, e Engine, existential bool) (bool, error) {
 	var innerErr error
-	complete := ev.packed.ForEach(chosen[i-1], func(cert.Assignment) bool {
+	complete := ev.packed.ForEach(c.moves[i-1], func(cert.Assignment) bool {
 		// One cancellation poll per leaf, matching the unpacked walk (a
 		// leaf is a full machine run, so the atomic load is noise).
 		if e.Opts.Ctx != nil {
@@ -406,7 +424,7 @@ func (ev *gameEval) evalPackedLeaves(chosen []cert.Assignment, i int, e Engine, 
 				return false
 			}
 		}
-		v, err := ev.leaf(chosen)
+		v, err := ev.leaf(c.leaf, c.moves)
 		if err != nil {
 			innerErr = err
 			return false
@@ -422,6 +440,19 @@ func (ev *gameEval) evalPackedLeaves(chosen []cert.Assignment, i int, e Engine, 
 		return !existential, nil
 	}
 	return existential, nil
+}
+
+// strategyLeaf runs one strategy-game leaf on a leaf buffer set checked
+// out for just this leaf: the move vector of a strategy game is rebuilt
+// by append on every branch, so there is no sequential context to hold
+// the buffers.
+func (ev *gameEval) strategyLeaf(chosen []cert.Assignment) (bool, error) {
+	if ev.leafPool == nil {
+		return ev.leaf(nil, chosen)
+	}
+	ls, release := ev.leafPool.Get()
+	defer release()
+	return ev.leaf(ls, chosen)
 }
 
 // Strategy produces a certificate assignment for a player given the
@@ -507,7 +538,7 @@ func (a *Arbiter) StrategyGameValueEngine(prep *simulate.Prepared, strategies []
 func (ev *gameEval) strategyRec(g *graph.Graph, id graph.IDAssignment, strategies []Strategy, chosen []cert.Assignment, i int, e Engine, par bool) (bool, error) {
 	l := len(ev.enums)
 	if i > l {
-		return ev.leaf(chosen)
+		return ev.strategyLeaf(chosen)
 	}
 	if ev.a.Level.ExistentialAt(i) {
 		if strategies[i-1] == nil {
@@ -606,42 +637,12 @@ func (ev *gameEval) strategyRec(g *graph.Graph, id graph.IDAssignment, strategie
 	return ok, nil
 }
 
-// encodeTuple/decodeTuple pack several machine messages into one (used by
-// the Product combinator). JSON keeps the encoding unambiguous; the formal
-// model would expand the alphabet encoding, which is immaterial here.
-func encodeTuple(parts []string) string {
-	b, err := json.Marshal(parts)
-	if err != nil {
-		// Unreachable: strings always marshal.
-		panic(err)
-	}
-	return string(b)
-}
-
-func decodeTuple(s string, n int) []string {
-	out := make([]string, n)
-	if s == "" {
-		return out
-	}
-	var parts []string
-	if err := json.Unmarshal([]byte(s), &parts); err != nil {
-		return out
-	}
-	copy(out, parts)
-	return out
-}
-
-type productState struct {
-	states []any
-	halted []bool
-	degree int
-}
-
 // Product runs several machines in lockstep on the same graph: each round,
 // every component machine performs its round, and the component messages
-// are packed into tuple messages. The product halts at a node when all
-// components have halted there. combine merges the component outputs into
-// the product's output; the default conjoins verdicts ("1" iff all "1").
+// are packed into tuple messages (see tuple.go). The product halts at a
+// node when all components have halted there. combine merges the
+// component outputs into the product's output; the default conjoins
+// verdicts ("1" iff all "1").
 func Product(name string, combine func(outputs []string) string, machines ...*simulate.Machine) *simulate.Machine {
 	if combine == nil {
 		combine = func(outputs []string) string {
@@ -656,61 +657,25 @@ func Product(name string, combine func(outputs []string) string, machines ...*si
 	return &simulate.Machine{
 		Name: name,
 		Init: func(in simulate.Input) any {
-			ps := &productState{
-				states: make([]any, len(machines)),
-				halted: make([]bool, len(machines)),
-				degree: in.Degree,
-			}
-			for i, m := range machines {
-				ps.states[i] = m.Init(in)
-			}
-			return ps
+			t := &tupleNode{}
+			t.init(machines, 0, in)
+			return t
 		},
 		Round: func(st any, round int, recv []string) ([]string, bool) {
-			ps := st.(*productState)
-			// Unpack tuple messages per component.
-			perComp := make([][]string, len(machines))
-			for i := range machines {
-				perComp[i] = make([]string, len(recv))
-			}
+			t := st.(*tupleNode)
 			for j, msg := range recv {
-				parts := decodeTuple(msg, len(machines))
-				for i := range machines {
-					perComp[i][j] = parts[i]
-				}
+				t.split(j, msg)
 			}
-			sends := make([][]string, len(machines))
-			allHalt := true
 			for i, m := range machines {
-				if ps.halted[i] {
-					sends[i] = make([]string, ps.degree)
-					continue
-				}
-				out, halt := m.Round(ps.states[i], round, perComp[i])
-				send := make([]string, ps.degree)
-				copy(send, out)
-				sends[i] = send
-				ps.halted[i] = halt
-				if !halt {
-					allHalt = false
-				}
+				t.step(i, m, round)
 			}
-			// Pack tuples per neighbor.
-			out := make([]string, ps.degree)
-			for j := 0; j < ps.degree; j++ {
-				parts := make([]string, len(machines))
-				for i := range machines {
-					parts[i] = sends[i][j]
-				}
-				out[j] = encodeTuple(parts)
-			}
-			return out, allHalt
+			return t.pack(), t.allHalted()
 		},
 		Output: func(st any) string {
-			ps := st.(*productState)
+			t := st.(*tupleNode)
 			outs := make([]string, len(machines))
 			for i, m := range machines {
-				outs[i] = m.Output(ps.states[i])
+				outs[i] = m.Output(t.comps[i].state)
 			}
 			return combine(outs)
 		},

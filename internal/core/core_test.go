@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/cert"
@@ -236,6 +239,293 @@ func TestProductMessaging(t *testing.T) {
 	}
 }
 
+// TestProductEqualsConjunction: on generated graphs, the product of
+// message-passing components that halt in different rounds must give
+// every node the conjunction of the verdicts the components reach run
+// alone — on both engines (Run and the buffer-reusing RunAccepted).
+// Running each component alone is the ground truth: it involves no
+// tuple codec. The components send empty, short, separator-laden and
+// 200-byte messages, to some neighbours only, and reuse their send
+// slices across rounds.
+func TestProductEqualsConjunction(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(7))
+	var graphs []*graph.Graph
+	for n := 2; n <= 7; n++ {
+		graphs = append(graphs, graph.Path(n), graph.Star(n), graph.RandomTree(n, rng), graph.RandomConnected(n, 0.5, rng))
+		if n >= 3 {
+			graphs = append(graphs, graph.Cycle(n))
+		}
+	}
+	graphs = append(graphs, graph.Grid(2, 3), graph.Grid(3, 3), graph.Complete(5))
+	comps := []*simulate.Machine{longEcho(), degreeRelay(), silentParity(), firstNeighbourOnly(), idOrder(), chatter()}
+	seen := make([]map[bool]bool, len(comps)) // the verdicts each component reached
+	for i := range seen {
+		seen[i] = map[bool]bool{}
+	}
+	for gi, base := range graphs {
+		n := base.N()
+		for sample := 0; sample < 3; sample++ {
+			g := base.MustWithLabels(graph.BitLabels(n, uint(rng.Intn(1<<n))))
+			id := graph.GloballyUnique(g)
+			prep, err := simulate.Prepare(g, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]bool, n)
+			verdicts := make([][]string, n) // verdicts[u][i]: component i alone at u
+			for u := range want {
+				want[u] = true
+			}
+			all := true
+			for i, m := range comps {
+				res, err := simulate.Run(m, g, id, nil, simulate.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for u, o := range res.Outputs {
+					want[u] = want[u] && o == "1"
+					verdicts[u] = append(verdicts[u], o)
+					seen[i][o == "1"] = true
+				}
+				all = all && res.Accepted()
+				// The buffer-reusing engine, one component at a time so no
+				// other component's rejection can mask an error.
+				got, err := prep.RunAccepted(Product("solo", nil, m), nil, 0, prep.NewScratch())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != res.Accepted() {
+					t.Errorf("graph %d %v labels %v: RunAccepted product of %s alone = %v, %s alone %v",
+						gi, g.Edges(), g.Labels(), m.Name, got, m.Name, res.Accepted())
+				}
+			}
+			prod := Product("product", nil, comps...)
+			res, err := simulate.Run(prod, g, id, nil, simulate.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u, o := range res.Outputs {
+				if (o == "1") != want[u] {
+					t.Errorf("graph %d %v labels %v: node %d product verdict %q, components conjoined %v",
+						gi, g.Edges(), g.Labels(), u, o, want[u])
+				}
+			}
+			got, err := prep.RunAccepted(prod, nil, 0, prep.NewScratch())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != all {
+				t.Errorf("graph %d %v labels %v: RunAccepted product = %v, components conjoined %v", gi, g.Edges(), g.Labels(), got, all)
+			}
+			// Every component's own verdict, read through the product.
+			each := Product("product-verdicts", func(outs []string) string { return strings.Join(outs, ",") }, comps...)
+			res, err = simulate.Run(each, g, id, nil, simulate.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u, o := range res.Outputs {
+				if w := strings.Join(verdicts[u], ","); o != w {
+					t.Errorf("graph %d %v labels %v: node %d component verdicts in the product %s, alone %s",
+						gi, g.Edges(), g.Labels(), u, o, w)
+				}
+			}
+		}
+	}
+	for i, vals := range seen {
+		if !vals[true] || !vals[false] {
+			t.Errorf("%s only reached the verdicts %v; the check needs both", comps[i].Name, vals)
+		}
+	}
+}
+
+// longEcho sends a 200-byte message built from its label and id in
+// round 1 (a two-byte length in the tuple) and accepts in round 2 iff
+// the number of neighbours that sent the same message as it has the
+// parity of its label.
+func longEcho() *simulate.Machine {
+	type st struct {
+		msg   string
+		label string
+		deg   int
+		ok    bool
+	}
+	return &simulate.Machine{
+		Name: "comp:long-echo",
+		Init: func(in simulate.Input) any {
+			return &st{msg: strings.Repeat(in.Label+"|", 100), label: in.Label, deg: in.Degree}
+		},
+		Round: func(sv any, round int, recv []string) ([]string, bool) {
+			s := sv.(*st)
+			if round == 1 {
+				out := make([]string, s.deg)
+				for j := range out {
+					out[j] = s.msg
+				}
+				return out, false
+			}
+			same := 0
+			for _, m := range recv {
+				if m == s.msg {
+					same++
+				}
+			}
+			s.ok = (same%2 == 1) == (s.label == "1")
+			return nil, true
+		},
+		Output: func(sv any) string { return map[bool]string{true: "1", false: "0"}[sv.(*st).ok] },
+	}
+}
+
+// degreeRelay runs three rounds, reusing one send slice: it sends its
+// degree, then the largest degree it has heard of, and accepts iff no
+// node within two hops has degree above 3.
+func degreeRelay() *simulate.Machine {
+	type st struct {
+		max  int
+		send []string
+	}
+	return &simulate.Machine{
+		Name: "comp:degree-relay",
+		Init: func(in simulate.Input) any { return &st{max: in.Degree, send: make([]string, in.Degree)} },
+		Round: func(sv any, round int, recv []string) ([]string, bool) {
+			s := sv.(*st)
+			for _, m := range recv {
+				if d, err := strconv.Atoi(m); err == nil && d > s.max {
+					s.max = d
+				}
+			}
+			if round == 3 {
+				return nil, true
+			}
+			for j := range s.send {
+				s.send[j] = strconv.Itoa(s.max)
+			}
+			return s.send, false
+		},
+		Output: func(sv any) string { return map[bool]string{true: "1", false: "0"}[sv.(*st).max <= 3] },
+	}
+}
+
+// silentParity never sends and halts at once: it accepts iff its label
+// is "1" or its degree is even.
+func silentParity() *simulate.Machine {
+	return &simulate.Machine{
+		Name:   "comp:silent-parity",
+		Init:   func(in simulate.Input) any { return in.Label == "1" || in.Degree%2 == 0 },
+		Round:  func(any, int, []string) ([]string, bool) { return nil, true },
+		Output: func(s any) string { return map[bool]string{true: "1", false: "0"}[s.(bool)] },
+	}
+}
+
+// firstNeighbourOnly sends a JSON-looking message with separators and
+// digits to every neighbour in round 1 and to its first neighbour only
+// in round 2 (a send slice shorter than the degree, so the rest must
+// go out empty), and accepts in round 3 iff it is not labelled "1" or
+// some neighbour's round-2 message reached it.
+func firstNeighbourOnly() *simulate.Machine {
+	type st struct {
+		label string
+		deg   int
+		ok    bool
+	}
+	return &simulate.Machine{
+		Name: "comp:first-neighbour-only",
+		Init: func(in simulate.Input) any { return &st{label: in.Label, deg: in.Degree} },
+		Round: func(sv any, round int, recv []string) ([]string, bool) {
+			s := sv.(*st)
+			msg := `["` + s.label + `",1,"a\"b"]`
+			switch round {
+			case 1:
+				out := make([]string, s.deg)
+				for j := range out {
+					out[j] = msg
+				}
+				return out, false
+			case 2:
+				return []string{msg}, false
+			}
+			heard := false
+			for _, m := range recv {
+				if m != "" {
+					heard = true
+				}
+			}
+			s.ok = heard || s.label != "1"
+			return nil, true
+		},
+		Output: func(sv any) string { return map[bool]string{true: "1", false: "0"}[sv.(*st).ok] },
+	}
+}
+
+// chatter sends "x" to every neighbour each round it runs: one round at
+// a node labelled "1", three elsewhere. In its last round it accepts
+// iff the count of non-empty messages it received is even; a neighbour
+// that has halted must read as silent.
+func chatter() *simulate.Machine {
+	type st struct {
+		last, heard int
+		send        []string
+	}
+	return &simulate.Machine{
+		Name: "comp:chatter",
+		Init: func(in simulate.Input) any {
+			s := &st{last: 3, send: make([]string, in.Degree)}
+			if in.Label == "1" {
+				s.last = 1
+			}
+			for j := range s.send {
+				s.send[j] = "x"
+			}
+			return s
+		},
+		Round: func(sv any, round int, recv []string) ([]string, bool) {
+			s := sv.(*st)
+			for _, m := range recv {
+				if m != "" {
+					s.heard++
+				}
+			}
+			return s.send, round == s.last
+		},
+		Output: func(sv any) string { return map[bool]string{true: "1", false: "0"}[sv.(*st).heard%2 == 0] },
+	}
+}
+
+// idOrder sends its identifier to each neighbour and accepts iff the
+// identifiers arrive in ascending order — the engines' neighbour order,
+// so this fails only if a message reaches the wrong slot — and, for a
+// node labelled "0", the first is below its own.
+func idOrder() *simulate.Machine {
+	type st struct {
+		id, label string
+		deg       int
+		ok        bool
+	}
+	return &simulate.Machine{
+		Name: "comp:id-order",
+		Init: func(in simulate.Input) any { return &st{id: in.ID, label: in.Label, deg: in.Degree} },
+		Round: func(sv any, round int, recv []string) ([]string, bool) {
+			s := sv.(*st)
+			if round == 1 {
+				out := make([]string, s.deg)
+				for j := range out {
+					out[j] = s.id
+				}
+				return out, false
+			}
+			s.ok = len(recv) == 0 || s.label == "1" || graph.CompareID(recv[0], s.id) < 0
+			for j := 1; j < len(recv); j++ {
+				if graph.CompareID(recv[j-1], recv[j]) >= 0 {
+					s.ok = false
+				}
+			}
+			return nil, true
+		},
+		Output: func(sv any) string { return map[bool]string{true: "1", false: "0"}[sv.(*st).ok] },
+	}
+}
+
 func TestWithPrecondition(t *testing.T) {
 	t.Parallel()
 	always := &simulate.Machine{
@@ -262,20 +552,5 @@ func TestWithPrecondition(t *testing.T) {
 	okPath, err := simulate.Decide(combined, path, graph.GloballyUnique(path), simulate.Options{})
 	if err != nil || okPath {
 		t.Fatalf("path should fail precondition: %v %v", okPath, err)
-	}
-}
-
-func TestTupleCodec(t *testing.T) {
-	t.Parallel()
-	parts := []string{"", "0,1", `quote"ms`}
-	dec := decodeTuple(encodeTuple(parts), 3)
-	for i := range parts {
-		if dec[i] != parts[i] {
-			t.Fatalf("tuple roundtrip: %v vs %v", dec, parts)
-		}
-	}
-	empty := decodeTuple("", 2)
-	if empty[0] != "" || empty[1] != "" {
-		t.Fatal("empty tuple should decode to empty strings")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,8 +39,11 @@ func TestMemoSingleFlight(t *testing.T) {
 			results[i] = v
 		}()
 	}
-	// Wait until the flight is claimed, then let everyone pile up on it.
-	for m.Stats().Misses == 0 {
+	// Hold the flight open until every other goroutine is waiting on it:
+	// one released as soon as the flight is claimed could still be on its
+	// way to Do, and would then score a plain hit instead of a wait.
+	for m.Stats().Waits < waiters-1 {
+		runtime.Gosched()
 	}
 	close(gate)
 	wg.Wait()

@@ -13,9 +13,9 @@ import (
 
 // recordingMatcher accepts at a node iff its inner certificate equals
 // its outer certificate, and records every (node, outer, inner) triple
-// it is ever shown. The record is the detector: the engine's pooled
-// per-worker buffers (the search.NewScratch suffix rows in evalLevel
-// and the leafScratch certificate lists) are reused across choices, so
+// it is ever shown. The record is the detector: each sequential
+// context's buffers (its own rows of the move vector and its
+// leafScratch certificate lists) are reused across choices, so
 // a stale assignment-prefix byte surviving a reuse would surface here
 // as a triple the lexicographic enumeration never generates — or as a
 // missing one.
@@ -90,5 +90,39 @@ func TestPooledLeafPrefixIsolation(t *testing.T) {
 		if !seqSeen[k] {
 			t.Errorf("triple %q fabricated by the parallel pooled run", k)
 		}
+	}
+}
+
+// TestGameAllocsFlatInLeaves pins the buffer reuse of exhaustive games:
+// a fan-out worker and the top-level call each make their buffers once,
+// so with a machine that allocates nothing the allocation count of one
+// evaluation depends on the worker count, not on how many leaves the
+// game visits (3^4 and 3^6 here, all of them, since the Π1 game holds).
+// Not parallel: AllocsPerRun counts the whole process's allocations.
+func TestGameAllocsFlatInLeaves(t *testing.T) {
+	accept := &simulate.Machine{
+		Name:   "test:accept-no-alloc",
+		Init:   func(in simulate.Input) any { return len(in.Certs) == 1 },
+		Round:  func(any, int, []string) ([]string, bool) { return nil, true },
+		Output: func(any) string { return "1" },
+	}
+	allocs := func(n int) float64 {
+		g := graph.Path(n)
+		prep, err := simulate.Prepare(g, graph.GloballyUnique(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		arb := &Arbiter{Machine: accept, Level: Pi(1), RadiusID: 1}
+		domains := []cert.Domain{cert.UniformDomain(n, 1)}
+		eng := Engine{Opts: search.Parallel(2)}
+		return testing.AllocsPerRun(20, func() {
+			if ok, err := arb.GameValueEngine(prep, domains, eng); err != nil || !ok {
+				t.Fatalf("Π1 accept-all game on P%d: (%v, %v), want (true, nil)", n, ok, err)
+			}
+		})
+	}
+	small, large := allocs(4), allocs(6)
+	if small != large {
+		t.Fatalf("one evaluation allocates %v times over 81 leaves but %v times over 729", small, large)
 	}
 }

@@ -33,14 +33,24 @@ type Restrictor struct {
 	Move    int
 }
 
+// relState is one node of the permissive machine: the tuple-combinator
+// state over the restrictors and then the main machine, plus the flag
+// vector that rides in every tuple as one extra part.
 type relState struct {
-	comps     []any // restrictor states..., then main state
-	halted    []bool
-	flags     []bool // flags[i]: restrictor i's check still believed OK
-	degree    int
-	level     Level
-	moves     []int
+	tupleNode
+	// flags[i] is '1' while restrictor i's check is believed OK, '0'
+	// once it failed here or at a neighbour that reported it.
+	flags     string
 	haltRound int // round in which all components had halted (0 = not yet)
+}
+
+// clearFlag records that restrictor i's check failed.
+func (st *relState) clearFlag(i int) {
+	if st.flags[i] == '1' {
+		b := []byte(st.flags)
+		b[i] = '0'
+		st.flags = string(b)
+	}
 }
 
 // Relativize builds the permissive machine M_c of Lemma 11 from the main
@@ -56,70 +66,36 @@ func Relativize(main *simulate.Machine, level Level, restrictors []Restrictor, e
 		moves = append(moves, r.Move)
 	}
 	comps = append(comps, main)
-	name := main.Name + "|relativized"
+	allOK := strings.Repeat("1", len(restrictors))
 	return &simulate.Machine{
-		Name: name,
+		Name: main.Name + "|relativized",
 		Init: func(in simulate.Input) any {
-			st := &relState{
-				comps:  make([]any, len(comps)),
-				halted: make([]bool, len(comps)),
-				flags:  make([]bool, len(restrictors)),
-				degree: in.Degree,
-				level:  level,
-				moves:  moves,
-			}
-			for i, m := range comps {
-				st.comps[i] = m.Init(in)
-			}
-			for i := range st.flags {
-				st.flags[i] = true
-			}
+			st := &relState{flags: allOK}
+			st.init(comps, 1, in)
 			return st
 		},
 		Round: func(sv any, round int, recv []string) ([]string, bool) {
 			st := sv.(*relState)
 			// Unpack: component messages + flag vector.
-			perComp := make([][]string, len(comps))
-			for i := range comps {
-				perComp[i] = make([]string, len(recv))
-			}
 			for j, msg := range recv {
-				if msg == "" {
-					continue
-				}
-				parts := decodeTuple(msg, len(comps)+1)
-				for i := range comps {
-					perComp[i][j] = parts[i]
-				}
+				st.split(j, msg)
 				// Merge neighbor flags: any '0' taints ours.
-				nf := parts[len(comps)]
+				nf := st.parts[len(comps)]
 				for i := 0; i < len(st.flags) && i < len(nf); i++ {
 					if nf[i] == '0' {
-						st.flags[i] = false
+						st.clearFlag(i)
 					}
 				}
 			}
-			sends := make([][]string, len(comps))
-			allHalt := true
 			for i, m := range comps {
-				send := make([]string, st.degree)
-				if !st.halted[i] {
-					out, halt := m.Round(st.comps[i], round, perComp[i])
-					copy(send, out)
-					st.halted[i] = halt
-					if halt && i < len(st.flags) && m.Output(st.comps[i]) != "1" {
-						st.flags[i] = false
-					}
-					if !halt {
-						allHalt = false
-					}
+				if st.step(i, m, round) && i < len(st.flags) && m.Output(st.comps[i].state) != "1" {
+					st.clearFlag(i)
 				}
-				sends[i] = send
 			}
 			// Halt only when all components have halted and flags were
 			// propagated for extraRounds additional rounds.
 			halt := false
-			if allHalt {
+			if st.allHalted() {
 				if st.haltRound == 0 {
 					st.haltRound = round
 				}
@@ -128,38 +104,22 @@ func Relativize(main *simulate.Machine, level Level, restrictors []Restrictor, e
 				}
 			}
 			// Pack tuple: components + flag string.
-			var fb strings.Builder
-			for _, f := range st.flags {
-				if f {
-					fb.WriteByte('1')
-				} else {
-					fb.WriteByte('0')
-				}
-			}
-			out := make([]string, st.degree)
-			for j := 0; j < st.degree; j++ {
-				parts := make([]string, len(comps)+1)
-				for i := range comps {
-					parts[i] = sends[i][j]
-				}
-				parts[len(comps)] = fb.String()
-				out[j] = encodeTuple(parts)
-			}
-			return out, halt
+			st.parts[len(comps)] = st.flags
+			return st.pack(), halt
 		},
 		Output: func(sv any) string {
 			st := sv.(*relState)
 			// Walk the flags in move order; the first violation decides.
 			for idx := 0; idx < len(st.flags); idx++ {
-				if st.flags[idx] {
+				if st.flags[idx] == '1' {
 					continue
 				}
-				if st.level.ExistentialAt(st.moves[idx]) {
+				if level.ExistentialAt(moves[idx]) {
 					return "0" // Eve played an invalid certificate: reject
 				}
 				return "1" // Adam played an invalid certificate: accept
 			}
-			return comps[len(comps)-1].Output(st.comps[len(st.comps)-1])
+			return main.Output(st.comps[len(comps)-1].state)
 		},
 	}
 }

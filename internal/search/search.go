@@ -129,10 +129,22 @@ func ForEach(s Space, yield func([]int) bool) bool {
 // returns false and the context's error; otherwise the error is nil and
 // the value equals that of the sequential engine.
 func Exists(o Options, s Space, pred Pred) (bool, error) {
+	return ExistsPerWorker(o, s, func() Pred { return pred })
+}
+
+// ExistsPerWorker is Exists with one predicate per worker: every worker
+// of the pool (the caller itself under the sequential engine) calls
+// newPred once, before it visits any assignment, and evaluates all of
+// its assignments with the predicate it got. A predicate that owns
+// buffers therefore needs neither synchronization nor a per-assignment
+// checkout, and the number of newPred calls depends only on the options
+// and the space, never on scheduling. newPred itself may run
+// concurrently on several workers.
+func ExistsPerWorker(o Options, s Space, newPred func() Pred) (bool, error) {
 	if o.pool() == 1 || smallSpace(s) {
-		return existsSeq(o, s, pred)
+		return existsSeq(o, s, newPred())
 	}
-	return existsPar(o, s, pred)
+	return existsPar(o, s, newPred)
 }
 
 // Splittable reports whether the engine would actually fan s out to a
@@ -162,7 +174,16 @@ func smallSpace(s Space) bool {
 // short-circuiting on the first counterexample. Error semantics match
 // Exists.
 func ForAll(o Options, s Space, pred Pred) (bool, error) {
-	some, err := Exists(o, s, func(a []int) bool { return !pred(a) })
+	return ForAllPerWorker(o, s, func() Pred { return pred })
+}
+
+// ForAllPerWorker is ForAll with one predicate per worker (see
+// ExistsPerWorker).
+func ForAllPerWorker(o Options, s Space, newPred func() Pred) (bool, error) {
+	some, err := ExistsPerWorker(o, s, func() Pred {
+		pred := newPred()
+		return func(a []int) bool { return !pred(a) }
+	})
 	return !some && err == nil, err
 }
 
@@ -194,12 +215,12 @@ func existsSeq(o Options, s Space, pred Pred) (bool, error) {
 	return found, nil
 }
 
-func existsPar(o Options, s Space, pred Pred) (bool, error) {
+func existsPar(o Options, s Space, newPred func() Pred) (bool, error) {
 	depth, prefixes := splitDepth(o, s)
 	if prefixes == 1 {
 		// Too small to split (or a single giant first position): the
 		// sequential engine is the parallel engine's only worker.
-		return existsSeq(o, s, pred)
+		return existsSeq(o, s, newPred())
 	}
 	var (
 		cursor  atomic.Int64 // next unclaimed prefix index
@@ -217,6 +238,7 @@ func existsPar(o Options, s Space, pred Pred) (bool, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			pred := newPred()
 			cur := make([]int, s.Len)
 			leaves := 0
 			var rec func(pos int) bool // false = abort this prefix's walk

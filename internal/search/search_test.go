@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -99,6 +100,47 @@ func TestForAll(t *testing.T) {
 }
 
 // TestEmptySpace: the Len == 0 space has exactly one empty assignment.
+// TestPerWorkerPredicates: ExistsPerWorker and ForAllPerWorker make
+// exactly one predicate per worker — one under the sequential engine,
+// the pool size when the space splits into more prefixes than workers —
+// each used by a single goroutine, and agree with Exists and ForAll.
+func TestPerWorkerPredicates(t *testing.T) {
+	s := Uniform(6, 3) // 729 assignments
+	target := func(a []int) bool { return a[0] == 2 && a[5] == 1 }
+	for _, o := range []Options{Sequential(), Parallel(3)} {
+		wantWorkers := int64(o.pool())
+		for _, forAll := range []bool{false, true} {
+			var made atomic.Int64
+			newPred := func() Pred {
+				made.Add(1)
+				calls := 0
+				return func(a []int) bool {
+					calls++ // unsynchronized: -race flags a predicate two workers share
+					if forAll {
+						return !target(a)
+					}
+					return target(a)
+				}
+			}
+			var got, want bool
+			var err error
+			if forAll {
+				got, err = ForAllPerWorker(o, s, newPred)
+				want, _ = ForAll(Sequential(), s, func(a []int) bool { return !target(a) })
+			} else {
+				got, err = ExistsPerWorker(o, s, newPred)
+				want, _ = Exists(Sequential(), s, target)
+			}
+			if err != nil || got != want {
+				t.Errorf("workers %d forAll %v: (%v, %v), want (%v, nil)", o.Workers, forAll, got, err, want)
+			}
+			if made.Load() != wantWorkers {
+				t.Errorf("workers %d forAll %v: %d predicates made, want %d", o.Workers, forAll, made.Load(), wantWorkers)
+			}
+		}
+	}
+}
+
 func TestEmptySpace(t *testing.T) {
 	for _, o := range []Options{Sequential(), Parallel(0)} {
 		yes, err := Exists(o, Binary(0), func(a []int) bool { return len(a) == 0 })

@@ -65,6 +65,12 @@ type Machine struct {
 	// path (Prepared.RunAccepted) reuses one buffer across nodes and
 	// rounds, so implementations must copy any message they need to keep
 	// rather than retaining recv or aliasing into it.
+	//
+	// Conversely, both engines (Prepared.Run and Prepared.RunAccepted)
+	// copy the returned send slice before the next Round call, so a
+	// machine may return the same slice every round and overwrite it in
+	// the next call; the Product and Relativize combinators in
+	// internal/core rely on this.
 	Round func(st any, round int, recv []string) (send []string, halt bool)
 	// Output extracts the node's final output label (its verdict when the
 	// machine is used as a decision procedure: "1" accepts).
