@@ -184,6 +184,33 @@ func TestRelativizedGameEqualsRestrictedGame(t *testing.T) {
 	}
 }
 
+// TestRelativizeFlagPropagation: a violation at one node must reach its
+// neighbors' verdicts within the propagation rounds.
+func TestRelativizeFlagPropagation(t *testing.T) {
+	t.Parallel()
+	g := graph.Path(3).MustWithLabels([]string{"1", "1", "1"})
+	id := graph.GloballyUnique(g)
+	mc := Relativize(matchMachine(), Sigma(1), []Restrictor{oneBitRestrictor(1)}, 2)
+	// Node 2 plays an invalid certificate; all nodes play matching bits
+	// otherwise. With propagation, nodes 1 (and 0 after 2 rounds) learn
+	// about the violation; the graph is rejected.
+	res, err := simulate.Run(mc, g, id, cert.NodeLists(cert.Assignment{"1", "1", "11"}), simulate.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Accepted() {
+		t.Fatal("violation must reject the graph")
+	}
+	// The violating node itself must reject (it is Eve's move).
+	if res.Outputs[2] != "0" {
+		t.Fatalf("node 2 verdict %q, want 0", res.Outputs[2])
+	}
+	// And its neighbor learned of it.
+	if res.Outputs[1] != "0" {
+		t.Fatalf("node 1 verdict %q, want 0 after propagation", res.Outputs[1])
+	}
+}
+
 // atMostOneBit accepts at a node iff its move-th certificate has at most
 // one bit, so the certificates it admits are exactly UniformDomain(n, 1).
 // It is locally repairable: a violation can be replaced by "".
