@@ -8,7 +8,6 @@ package cert
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/search"
@@ -159,28 +158,9 @@ func (d Domain) Size() int {
 }
 
 // stringsUpTo lists all bit strings of length 0..maxLen in a fixed
-// order: "", then each length in turn, in counting order. Lengths up to
-// sharedMaxLen are slices of one shared table (the list for maxLen is a
-// prefix of the list for maxLen+1), so compiling a domain allocates
-// nothing per node; callers must not modify the result.
+// order: "", then each length in turn, in counting order. The list for
+// maxLen is therefore a prefix of the list for any longer length.
 func stringsUpTo(maxLen int) []string {
-	if maxLen < 0 {
-		maxLen = 0
-	}
-	if maxLen <= sharedMaxLen {
-		n := 1<<uint(maxLen+1) - 1
-		return sharedStrings()[:n:n]
-	}
-	return bitStringsUpTo(maxLen)
-}
-
-// sharedMaxLen bounds the lengths served from the shared table (511
-// strings); exhaustive games never get near it.
-const sharedMaxLen = 8
-
-var sharedStrings = sync.OnceValue(func() []string { return bitStringsUpTo(sharedMaxLen) })
-
-func bitStringsUpTo(maxLen int) []string {
 	out := []string{""}
 	for l := 1; l <= maxLen; l++ {
 		for x := 0; x < 1<<uint(l); x++ {
@@ -221,11 +201,22 @@ type Enum struct {
 	options [][]string
 }
 
-// Enum compiles the domain.
+// Enum compiles the domain. The option list of a node is a prefix of
+// one table built for the largest MaxLen, so compiling allocates the
+// same number of times whatever the number of nodes.
 func (d Domain) Enum() *Enum {
 	e := &Enum{options: make([][]string, len(d.MaxLen))}
+	top := 0
+	for _, l := range d.MaxLen {
+		top = max(top, l)
+	}
+	table := stringsUpTo(top)
 	for u, l := range d.MaxLen {
-		e.options[u] = stringsUpTo(l)
+		n := 1
+		if l > 0 {
+			n = 1<<uint(l+1) - 1
+		}
+		e.options[u] = table[:n:n]
 	}
 	return e
 }

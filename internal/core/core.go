@@ -192,13 +192,15 @@ type leafScratch struct {
 // game: the top-level call, or one fan-out worker, which runs its share
 // of the fanned-out level and everything below it one choice at a time.
 // It is made once per context and passed down eval, evalLevel and
-// evalPackedLeaves, so a leaf costs no checkout.
+// evalPackedLeaves, so a leaf costs no checkout; its leaf buffers are
+// made on its first leaf (see leafBuffers).
 type seqContext struct {
 	// moves is the full move vector: entries below the context's own
 	// level alias the enclosing context's buffers (read-only while the
 	// context runs), the rest are buffers the context owns.
 	moves []cert.Assignment
-	// leaf is the context's leaf buffers (nil in reference mode).
+	// leaf is the context's leaf buffers (nil until its first leaf, and
+	// always nil in reference mode).
 	leaf *leafScratch
 }
 
@@ -248,6 +250,7 @@ func (ev *gameEval) newLeafScratch() *leafScratch {
 
 // newContext starts a sequential context below the given move prefix:
 // it shares the prefix's buffers and owns one buffer per level beneath.
+// Its leaf buffers wait for its first leaf.
 func (ev *gameEval) newContext(prefix []cert.Assignment) *seqContext {
 	c := &seqContext{moves: make([]cert.Assignment, len(ev.enums))}
 	copy(c.moves, prefix)
@@ -255,10 +258,17 @@ func (ev *gameEval) newContext(prefix []cert.Assignment) *seqContext {
 	for j := len(prefix); j < len(ev.enums); j++ {
 		c.moves[j] = make(cert.Assignment, ev.enums[j].Len())
 	}
-	if ev.pooled {
+	return c
+}
+
+// leafBuffers returns c's leaf buffers, making them on the context's
+// first leaf, so a warm whole-game memo hit and a context whose level
+// fans out allocate none (nil in reference mode).
+func (ev *gameEval) leafBuffers(c *seqContext) *leafScratch {
+	if ev.pooled && c.leaf == nil {
 		c.leaf = ev.newLeafScratch()
 	}
-	return c
+	return c.leaf
 }
 
 func (ev *gameEval) fail(err error) {
@@ -301,7 +311,7 @@ func (ev *gameEval) leaf(ls *leafScratch, chosen []cert.Assignment) (bool, error
 // out yet (see evalLevel).
 func (ev *gameEval) eval(c *seqContext, i int, e Engine, par bool) (bool, error) {
 	if i > len(ev.enums) {
-		return ev.leaf(c.leaf, c.moves)
+		return ev.leaf(ev.leafBuffers(c), c.moves)
 	}
 	if ev.seed != "" && i <= memoMaxLevel {
 		return e.Memo.Do(e.Opts.Ctx, subkey(ev.seed, i, c.moves[:i-1]), func() (bool, error) {
@@ -415,6 +425,7 @@ func (ev *gameEval) evalLevel(c *seqContext, i int, e Engine, par bool) (bool, e
 // strings touched by the carry and goes straight to a leaf run, which is
 // where a game evaluation spends almost all of its time.
 func (ev *gameEval) evalPackedLeaves(c *seqContext, i int, e Engine, existential bool) (bool, error) {
+	ls := ev.leafBuffers(c)
 	var innerErr error
 	complete := ev.packed.ForEach(c.moves[i-1], func(cert.Assignment) bool {
 		// One cancellation poll per leaf, matching the unpacked walk (a
@@ -424,7 +435,7 @@ func (ev *gameEval) evalPackedLeaves(c *seqContext, i int, e Engine, existential
 				return false
 			}
 		}
-		v, err := ev.leaf(c.leaf, c.moves)
+		v, err := ev.leaf(ls, c.moves)
 		if err != nil {
 			innerErr = err
 			return false

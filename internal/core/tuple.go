@@ -86,9 +86,8 @@ func splitTuple(msg string, parts []string) {
 // Machine.Round's contract allows: the engines copy it before the next
 // call.
 type tupleNode struct {
-	comps  []tupleComp
-	inline [2]tupleComp // comps' storage for up to two components
-	deg    int
+	comps []tupleComp
+	deg   int
 	// rows holds the component messages: rows[i*d+j] is component i's
 	// message from neighbour j, rows[(k+i)*d+j] its message to
 	// neighbour j.
@@ -107,11 +106,7 @@ type tupleComp struct {
 func (t *tupleNode) init(comps []*simulate.Machine, extra int, in simulate.Input) {
 	k, d := len(comps), in.Degree
 	strs := make([]string, 2*k*d+k+extra+d)
-	t.comps = t.inline[:0]
-	if k > len(t.inline) {
-		t.comps = make([]tupleComp, 0, k)
-	}
-	t.comps = t.comps[:k]
+	t.comps = make([]tupleComp, k)
 	t.deg = d
 	t.rows = strs[:2*k*d]
 	t.parts = strs[2*k*d : 2*k*d+k+extra]

@@ -99,7 +99,6 @@ func TestForAll(t *testing.T) {
 	}
 }
 
-// TestEmptySpace: the Len == 0 space has exactly one empty assignment.
 // TestPerWorkerPredicates: ExistsPerWorker and ForAllPerWorker make
 // exactly one predicate per worker — one under the sequential engine,
 // the pool size when the space splits into more prefixes than workers —
@@ -141,6 +140,7 @@ func TestPerWorkerPredicates(t *testing.T) {
 	}
 }
 
+// TestEmptySpace: the Len == 0 space has exactly one empty assignment.
 func TestEmptySpace(t *testing.T) {
 	for _, o := range []Options{Sequential(), Parallel(0)} {
 		yes, err := Exists(o, Binary(0), func(a []int) bool { return len(a) == 0 })
