@@ -91,6 +91,8 @@ test-lifecycle:
 # headers (an invalid header must start a fresh trace, never error).
 # FuzzTupleCodec round-trips the Product/Relativize tuple messages and
 # feeds the decoder malformed ones, which must decode to empty parts.
+# FuzzIncrementalRun drives run sequences through one simulate.Scratch,
+# where every incremental RunAccepted must equal Run + Accepted.
 # Invariant for all: no panics; the journal replay additionally
 # recovers every record before the first corruption.
 fuzz:
@@ -100,6 +102,7 @@ fuzz:
 	$(GO) test -run=- -fuzz=FuzzReplayJournal -fuzztime=5s ./internal/journal
 	$(GO) test -run=- -fuzz=FuzzMemoKey -fuzztime=5s ./internal/core
 	$(GO) test -run=- -fuzz=FuzzTupleCodec -fuzztime=5s ./internal/core
+	$(GO) test -run=- -fuzz=FuzzIncrementalRun -fuzztime=5s ./internal/simulate
 	$(GO) test -run=- -fuzz=FuzzTraceparent -fuzztime=5s ./internal/obs
 
 bench:
@@ -413,7 +416,7 @@ help:
 	@echo "make build       - go build ./..."
 	@echo "make test        - go test -race ./..."
 	@echo "make test-lifecycle - drain/shed/idempotency suite twice under -race (defeats caching, shakes out flakes)"
-	@echo "make fuzz        - 5s fuzz smokes: FuzzReadGraph + FuzzDecodeRequest + FuzzIdempotencyKey + FuzzReplayJournal + FuzzMemoKey + FuzzTupleCodec + FuzzTraceparent"
+	@echo "make fuzz        - 5s fuzz smokes: FuzzReadGraph + FuzzDecodeRequest + FuzzIdempotencyKey + FuzzReplayJournal + FuzzMemoKey + FuzzTupleCodec + FuzzIncrementalRun + FuzzTraceparent"
 	@echo "make bench       - smoke-run every benchmark once"
 	@echo "make bench-json  - record every benchmark for BENCHTIME (default 200ms) in BENCH_pr10.json"
 	@echo "make bench-delta - fail if BENCH_pr10.json regresses an engine pair >10% vs BENCH_pr9.json, tracing overhead >10%, or router hop >2x"

@@ -175,6 +175,8 @@ type gameEval struct {
 	// leafPool hands strategy games one leaf buffer set per leaf (nil
 	// for exhaustive games and in reference mode).
 	leafPool *search.Scratch[*leafScratch]
+	// counters receives the work tally (nil: none; see Engine.Counters).
+	counters *Counters
 
 	errOnce sync.Once
 	err     error
@@ -210,7 +212,7 @@ type seqContext struct {
 // through the graph, so its replies need not be equivariant under the
 // automorphisms, and orbit pruning of Adam's moves would be unsound.
 func newGameEval(a *Arbiter, prep *simulate.Prepared, domains []cert.Domain, eng Engine, strategic bool) *gameEval {
-	ev := &gameEval{a: a, prep: prep, enums: make([]*cert.Enum, len(domains))}
+	ev := &gameEval{a: a, prep: prep, enums: make([]*cert.Enum, len(domains)), counters: eng.Counters}
 	//lint:coarse domain compilation bounded by the level's alternation depth
 	for i, d := range domains {
 		ev.enums[i] = d.Enum()
@@ -279,10 +281,12 @@ func (ev *gameEval) fail(err error) {
 // game levels are the unit of parallelism, so each leaf runs its nodes
 // sequentially (identical results either way; see simulate). With
 // buffers (ls non-nil) the run goes through
-// simulate.Prepared.RunAccepted; reference mode (ls nil) pays the
-// allocating Run path.
+// simulate.Prepared.RunAccepted, which reruns only the nodes the
+// change from the buffers' previous leaf reaches; reference mode (ls
+// nil) pays the allocating Run path on every node.
 func (ev *gameEval) leaf(ls *leafScratch, chosen []cert.Assignment) (bool, error) {
 	if ls == nil {
+		ev.count(int64(ev.prep.Graph().N()))
 		res, err := ev.prep.Run(ev.a.Machine, cert.NodeLists(chosen...), simulate.Options{Sequential: true})
 		if err != nil {
 			return false, err
@@ -299,7 +303,18 @@ func (ev *gameEval) leaf(ls *leafScratch, chosen []cert.Assignment) (bool, error
 			}
 		}
 	}
-	return ev.prep.RunAccepted(ev.a.Machine, lists, 0, ls.sim)
+	runs := ls.sim.NodeRuns()
+	ok, err := ev.prep.RunAccepted(ev.a.Machine, lists, 0, ls.sim)
+	ev.count(ls.sim.NodeRuns() - runs)
+	return ok, err
+}
+
+// count adds one leaf that started nodeRuns nodes to the work tally.
+func (ev *gameEval) count(nodeRuns int64) {
+	if c := ev.counters; c != nil {
+		c.Leaves.Add(1)
+		c.NodeRuns.Add(nodeRuns)
+	}
 }
 
 // eval evaluates quantifier levels i..ℓ in the sequential context c,
@@ -342,9 +357,15 @@ func (ev *gameEval) evalLevel(c *seqContext, i int, e Engine, par bool) (bool, e
 		// context of its own, with buffers for this level and the ones
 		// below it.
 		prefix := c.moves[:i-1]
-		newPred := func() search.Pred {
+		newPred := func() search.WorkerPred {
 			w := ev.newContext(prefix)
-			return func(choices []int) bool {
+			return func(choices []int, start bool) bool {
+				if start && w.leaf != nil {
+					// A new prefix: its first leaf must not depend on
+					// which prefix the worker ran before, so the work of
+					// an evaluation is the same under any scheduling.
+					w.leaf.sim.Reset()
+				}
 				if sym && ev.symSkip(choices) {
 					// A pruned choice must not decide the quantifier: it
 					// neither witnesses the ∃ nor refutes the ∀.

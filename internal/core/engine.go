@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/search"
+import (
+	"sync/atomic"
+
+	"repro/internal/search"
+)
 
 // Engine configures one game evaluation: the search options of the
 // worker pool plus the optimization layers added on top of it. The zero
@@ -45,6 +49,22 @@ type Engine struct {
 	// NoPool disables pooled leaf execution (simulate.RunAccepted) and
 	// runs every leaf through the allocating simulate.Prepared.Run path.
 	NoPool bool
+
+	// Counters, when non-nil, receives the evaluation's work tally. It
+	// only observes: an evaluation does the same work with or without it.
+	Counters *Counters
+}
+
+// Counters tallies the work of game evaluations (see Engine.Counters).
+// Several evaluations may share one.
+type Counters struct {
+	// Leaves counts machine executions: one per game leaf visited.
+	Leaves atomic.Int64
+	// NodeRuns counts the nodes those executions started from Init.
+	// Incremental leaves (simulate.Prepared.RunAccepted) restart only the
+	// nodes whose certificates or received messages changed since the
+	// previous leaf, so it is at most Leaves × n.
+	NodeRuns atomic.Int64
 }
 
 // Reference returns the unoptimized engine: single-threaded search, no

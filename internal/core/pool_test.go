@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/cert"
@@ -18,12 +17,13 @@ import (
 // leafScratch certificate lists) are reused across choices, so
 // a stale assignment-prefix byte surviving a reuse would surface here
 // as a triple the lexicographic enumeration never generates — or as a
-// missing one.
-func recordingMatcher(rec *sync.Map, inits *atomic.Int64) *simulate.Machine {
+// missing one. Incremental leaves start a node only when its
+// certificates changed, but every context's first leaf starts them
+// all, so the record is still every triple of every leaf.
+func recordingMatcher(rec *sync.Map) *simulate.Machine {
 	return &simulate.Machine{
 		Name: "test:recording-matcher",
 		Init: func(in simulate.Input) any {
-			inits.Add(1)
 			rec.Store(in.ID+"|"+in.Certs[0]+"|"+in.Certs[1], true)
 			return in.Certs[1] == in.Certs[0]
 		},
@@ -44,7 +44,7 @@ func recordingMatcher(rec *sync.Map, inits *atomic.Int64) *simulate.Machine {
 // lexicographic prefix of the domain. Because the outer ∀ succeeds, the
 // set of leaves evaluated is scheduling-independent, so the parallel
 // pooled run must observe exactly the (node, outer, inner) triples and
-// exactly the leaf count of the sequential pooled run. Run under
+// visit exactly the leaves of the sequential pooled run. Run under
 // -race (make check does), this fails loudly if buffer reuse ever
 // bleeds assignment-prefix bytes across workers or across choices.
 func TestPooledLeafPrefixIsolation(t *testing.T) {
@@ -57,8 +57,8 @@ func TestPooledLeafPrefixIsolation(t *testing.T) {
 	domains := []cert.Domain{cert.UniformDomain(4, 1), cert.UniformDomain(4, 1)}
 	run := func(eng Engine) (map[string]bool, int64) {
 		var rec sync.Map
-		var inits atomic.Int64
-		arb := &Arbiter{Machine: recordingMatcher(&rec, &inits), Level: Pi(2), RadiusID: 1}
+		eng.Counters = new(Counters)
+		arb := &Arbiter{Machine: recordingMatcher(&rec), Level: Pi(2), RadiusID: 1}
 		ok, err := arb.GameValueEngine(prep, domains, eng)
 		if err != nil || !ok {
 			t.Fatalf("∀κ1 ∃κ2=κ1 game: (%v, %v), want (true, nil)", ok, err)
@@ -68,15 +68,15 @@ func TestPooledLeafPrefixIsolation(t *testing.T) {
 			seen[k.(string)] = true
 			return true
 		})
-		return seen, inits.Load()
+		return seen, eng.Counters.Leaves.Load()
 	}
 	// NoSymmetry pins determinism explicitly (unique ids already admit no
 	// automorphisms); pooling is on in both configurations — the engine
 	// under test — and only the worker count differs.
-	seqSeen, seqInits := run(Engine{Opts: search.Sequential(), NoSymmetry: true})
-	parSeen, parInits := run(Engine{Opts: search.Parallel(4), NoSymmetry: true})
-	if parInits != seqInits {
-		t.Errorf("parallel pooled run executed %d node inits, sequential %d", parInits, seqInits)
+	seqSeen, seqLeaves := run(Engine{Opts: search.Sequential(), NoSymmetry: true})
+	parSeen, parLeaves := run(Engine{Opts: search.Parallel(4), NoSymmetry: true})
+	if parLeaves != seqLeaves {
+		t.Errorf("parallel pooled run visited %d leaves, sequential %d", parLeaves, seqLeaves)
 	}
 	if len(parSeen) != len(seqSeen) {
 		t.Errorf("parallel observed %d distinct (node, outer, inner) triples, sequential %d", len(parSeen), len(seqSeen))
@@ -124,5 +124,88 @@ func TestGameAllocsFlatInLeaves(t *testing.T) {
 	small, large := allocs(4), allocs(6)
 	if small != large {
 		t.Fatalf("one evaluation allocates %v times over 81 leaves but %v times over 729", small, large)
+	}
+}
+
+// neighbourMatcher is a two-round machine for the Π2 game ∀κ1 ∃κ2: a
+// node sends κ1·κ2 to its neighbours in round 1 and accepts in round 2
+// iff its own κ2 equals its κ1 and so does every neighbour's, so κ2 = κ1
+// is the only winning reply and a certificate change travels one hop.
+func neighbourMatcher() *simulate.Machine {
+	matched := func(msg string) bool { return len(msg)%2 == 0 && msg[:len(msg)/2] == msg[len(msg)/2:] }
+	type st struct {
+		msg string
+		ok  bool
+	}
+	return &simulate.Machine{
+		Name: "test:neighbour-matcher",
+		Init: func(in simulate.Input) any {
+			return &st{msg: "<" + in.Certs[0] + "><" + in.Certs[1] + ">"}
+		},
+		Round: func(state any, round int, recv []string) ([]string, bool) {
+			s := state.(*st)
+			if round == 1 {
+				out := make([]string, len(recv))
+				for j := range out {
+					out[j] = s.msg
+				}
+				return out, false
+			}
+			s.ok = matched(s.msg)
+			for _, m := range recv {
+				s.ok = s.ok && matched(m)
+			}
+			return nil, true
+		},
+		Output: func(state any) string {
+			if state.(*st).ok {
+				return "1"
+			}
+			return "0"
+		},
+	}
+}
+
+// TestNodeRunsDeterministic pins the property the benchmark's traced
+// leaf check relies on: for a given engine configuration, the number of
+// nodes an evaluation starts does not depend on scheduling. A fan-out
+// worker drops its leaf trace at the start of every prefix it claims,
+// so its work on a prefix is the same whichever prefixes it ran before.
+// The outer ∀ of the game holds, so every evaluation visits the whole
+// fanned-out level.
+func TestNodeRunsDeterministic(t *testing.T) {
+	t.Parallel()
+	g := graph.Path(4)
+	prep, err := simulate.Prepare(g, graph.GloballyUnique(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arb := &Arbiter{Machine: neighbourMatcher(), Level: Pi(2), RadiusID: 1}
+	domains := []cert.Domain{cert.UniformDomain(4, 1), cert.UniformDomain(4, 1)}
+	for _, o := range []search.Options{
+		search.Parallel(2),
+		search.Parallel(4),
+		{Workers: 2, SplitDepth: 2},
+		{Workers: 4, SplitDepth: 2},
+	} {
+		var leaves, runs int64
+		for i := 0; i < 20; i++ {
+			c := new(Counters)
+			ok, err := arb.GameValueEngine(prep, domains, Engine{Opts: o, Counters: c})
+			if err != nil || !ok {
+				t.Fatalf("%+v: ∀κ1 ∃κ2=κ1 game: (%v, %v), want (true, nil)", o, ok, err)
+			}
+			if i == 0 {
+				leaves, runs = c.Leaves.Load(), c.NodeRuns.Load()
+				if runs >= leaves*int64(g.N()) {
+					t.Errorf("%+v: %d leaves started %d nodes, want fewer than leaves × n", o, leaves, runs)
+				}
+				continue
+			}
+			if c.Leaves.Load() != leaves || c.NodeRuns.Load() != runs {
+				t.Fatalf("%+v, evaluation %d: %d leaves and %d node runs, the first had %d and %d",
+					o, i, c.Leaves.Load(), c.NodeRuns.Load(), leaves, runs)
+			}
+		}
 	}
 }

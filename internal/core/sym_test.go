@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/cert"
@@ -10,14 +9,13 @@ import (
 	"repro/internal/simulate"
 )
 
-// countingAcceptor accepts everywhere and counts Init calls, so a test
-// can measure how many leaf executions an engine configuration runs:
-// leaves = count / n. All-accepting keeps a universal game from
-// early-exiting, making the count deterministic.
-func countingAcceptor(inits *atomic.Int64) *simulate.Machine {
+// acceptor accepts everywhere in one round. All-accepting keeps a
+// universal game from early-exiting, so the leaves it visits are the
+// whole enumeration.
+func acceptor() *simulate.Machine {
 	return &simulate.Machine{
-		Name:   "test:counting-acceptor",
-		Init:   func(simulate.Input) any { inits.Add(1); return nil },
+		Name:   "test:acceptor",
+		Init:   func(simulate.Input) any { return nil },
 		Round:  func(any, int, []string) ([]string, bool) { return nil, true },
 		Output: func(any) string { return "1" },
 	}
@@ -27,7 +25,10 @@ func countingAcceptor(inits *atomic.Int64) *simulate.Machine {
 // work on an instance with usable symmetry: C6 with period-3
 // identifiers admits exactly the rotation by 3, so of the 3^6 = 729
 // outer choice vectors only the 27 rotation-fixed ones lack a partner
-// and enumeration shrinks to (729+27)/2 = 378 leaves.
+// and enumeration shrinks to (729+27)/2 = 378 leaves. The engine's
+// counters tally the leaves; incremental leaves restart fewer than n
+// nodes per leaf on average, since consecutive leaves mostly differ in
+// one certificate.
 func TestSymmetryPrunes(t *testing.T) {
 	t.Parallel()
 	g := graph.Cycle(6)
@@ -38,13 +39,17 @@ func TestSymmetryPrunes(t *testing.T) {
 	}
 	domains := []cert.Domain{cert.UniformDomain(6, 1)}
 	leaves := func(eng Engine) int64 {
-		var inits atomic.Int64
-		arb := &Arbiter{Machine: countingAcceptor(&inits), Level: Pi(1), RadiusID: 1}
+		eng.Counters = new(Counters)
+		arb := &Arbiter{Machine: acceptor(), Level: Pi(1), RadiusID: 1}
 		ok, err := arb.GameValueEngine(prep, domains, eng)
 		if err != nil || !ok {
 			t.Fatalf("all-accepting Π1 game: (%v, %v), want (true, nil)", ok, err)
 		}
-		return inits.Load() / int64(g.N())
+		l, runs := eng.Counters.Leaves.Load(), eng.Counters.NodeRuns.Load()
+		if runs >= l*int64(g.N()) {
+			t.Errorf("%d leaves started %d nodes, want fewer than leaves × n = %d", l, runs, l*int64(g.N()))
+		}
+		return l
 	}
 	full := leaves(Engine{Opts: search.Sequential(), NoSymmetry: true})
 	pruned := leaves(Engine{Opts: search.Sequential()})
@@ -68,7 +73,7 @@ func TestSymmetryRequiresDistinctNeighborIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arb := &Arbiter{Machine: countingAcceptor(new(atomic.Int64)), Level: Pi(1), RadiusID: 1}
+	arb := &Arbiter{Machine: acceptor(), Level: Pi(1), RadiusID: 1}
 	ev := newGameEval(arb, prep, []cert.Domain{cert.UniformDomain(4, 1)}, Engine{Opts: search.Sequential()}, false)
 	if len(ev.auts) != 0 || len(ev.autInv) != 0 {
 		t.Fatalf("ambiguous neighborhood ids still collected %d automorphisms", len(ev.auts))
@@ -98,7 +103,7 @@ func TestSymmetryNeverPrunesStrategyGames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arb := &Arbiter{Machine: countingAcceptor(new(atomic.Int64)), Level: Pi(1), RadiusID: 1}
+	arb := &Arbiter{Machine: acceptor(), Level: Pi(1), RadiusID: 1}
 	ev := newGameEval(arb, prep, []cert.Domain{cert.UniformDomain(4, 1)}, Engine{Opts: search.Sequential()}, true)
 	if len(ev.auts) != 0 {
 		t.Fatalf("strategic evaluation collected %d automorphisms, want 0", len(ev.auts))

@@ -73,10 +73,6 @@ func Run(args []string) int {
 		fmt.Fprintln(os.Stderr, "lphd:", err)
 		return 1
 	}
-	// The smoke test (make serve-smoke) and the pool harnesses
-	// (internal/journaltest, internal/routertest) start us on ":0" and
-	// scrape this line for the resolved port, so keep its shape stable.
-	fmt.Printf("lphd: listening on http://%s\n", ln.Addr())
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	svc := service.New(service.Config{
 		Workers: *workers, CacheSize: *cache, MemoSize: *memo, Timeout: *timeout,
@@ -108,6 +104,12 @@ func Run(args []string) int {
 				*journalDir, js.Replay.Replayed, js.Replay.Restarted, js.Replay.Expired)
 		}
 	}
+	// The smoke test (make serve-smoke) and the pool harnesses
+	// (internal/journaltest, internal/routertest) start us on ":0" and
+	// scrape this line for the resolved port, so keep its shape stable.
+	// It comes last: a harness that waits for it may read every startup
+	// line above, the journal's replay counts included.
+	fmt.Printf("lphd: listening on http://%s\n", ln.Addr())
 	srv := &http.Server{
 		Handler:           svc.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,

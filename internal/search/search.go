@@ -53,6 +53,16 @@ func Uniform(n, k int) Space {
 // under a parallel engine — must be safe for concurrent invocation.
 type Pred func(assignment []int) bool
 
+// WorkerPred is the predicate of one worker (see ExistsPerWorker). Its
+// value must be that of a Pred; start additionally tells it where the
+// prefixes the worker claims begin: start is true on the first
+// assignment the worker visits below each claimed prefix, and under the
+// sequential engine on the first assignment of the space. A predicate
+// that carries state from one assignment to the next (a cache of its
+// last evaluation, say) can drop it there, so that the work it does on
+// a prefix does not depend on which prefixes its worker claimed before.
+type WorkerPred func(assignment []int, start bool) bool
+
 // Options selects the engine. The zero value is the parallel default.
 type Options struct {
 	// Workers is the size of the worker pool: 0 means one worker per
@@ -129,18 +139,21 @@ func ForEach(s Space, yield func([]int) bool) bool {
 // returns false and the context's error; otherwise the error is nil and
 // the value equals that of the sequential engine.
 func Exists(o Options, s Space, pred Pred) (bool, error) {
-	return ExistsPerWorker(o, s, func() Pred { return pred })
+	return ExistsPerWorker(o, s, func() WorkerPred {
+		return func(a []int, _ bool) bool { return pred(a) }
+	})
 }
 
 // ExistsPerWorker is Exists with one predicate per worker: every worker
 // of the pool (the caller itself under the sequential engine) calls
 // newPred once, before it visits any assignment, and evaluates all of
-// its assignments with the predicate it got. A predicate that owns
-// buffers therefore needs neither synchronization nor a per-assignment
-// checkout, and the number of newPred calls depends only on the options
-// and the space, never on scheduling. newPred itself may run
-// concurrently on several workers.
-func ExistsPerWorker(o Options, s Space, newPred func() Pred) (bool, error) {
+// its assignments with the predicate it got, which also learns where
+// each prefix the worker claims begins (see WorkerPred). A predicate
+// that owns buffers therefore needs neither synchronization nor a
+// per-assignment checkout, and the number of newPred calls depends only
+// on the options and the space, never on scheduling. newPred itself may
+// run concurrently on several workers.
+func ExistsPerWorker(o Options, s Space, newPred func() WorkerPred) (bool, error) {
 	if o.pool() == 1 || smallSpace(s) {
 		return existsSeq(o, s, newPred())
 	}
@@ -174,20 +187,22 @@ func smallSpace(s Space) bool {
 // short-circuiting on the first counterexample. Error semantics match
 // Exists.
 func ForAll(o Options, s Space, pred Pred) (bool, error) {
-	return ForAllPerWorker(o, s, func() Pred { return pred })
+	return ForAllPerWorker(o, s, func() WorkerPred {
+		return func(a []int, _ bool) bool { return pred(a) }
+	})
 }
 
 // ForAllPerWorker is ForAll with one predicate per worker (see
 // ExistsPerWorker).
-func ForAllPerWorker(o Options, s Space, newPred func() Pred) (bool, error) {
-	some, err := ExistsPerWorker(o, s, func() Pred {
+func ForAllPerWorker(o Options, s Space, newPred func() WorkerPred) (bool, error) {
+	some, err := ExistsPerWorker(o, s, func() WorkerPred {
 		pred := newPred()
-		return func(a []int) bool { return !pred(a) }
+		return func(a []int, start bool) bool { return !pred(a, start) }
 	})
 	return !some && err == nil, err
 }
 
-func existsSeq(o Options, s Space, pred Pred) (bool, error) {
+func existsSeq(o Options, s Space, pred WorkerPred) (bool, error) {
 	found := false
 	leaves := 0
 	var err error
@@ -198,7 +213,7 @@ func existsSeq(o Options, s Space, pred Pred) (bool, error) {
 				return false
 			}
 		}
-		if pred(a) {
+		if pred(a, leaves == 1) {
 			found = true
 			return false
 		}
@@ -215,7 +230,7 @@ func existsSeq(o Options, s Space, pred Pred) (bool, error) {
 	return found, nil
 }
 
-func existsPar(o Options, s Space, newPred func() Pred) (bool, error) {
+func existsPar(o Options, s Space, newPred func() WorkerPred) (bool, error) {
 	depth, prefixes := splitDepth(o, s)
 	if prefixes == 1 {
 		// Too small to split (or a single giant first position): the
@@ -241,6 +256,7 @@ func existsPar(o Options, s Space, newPred func() Pred) (bool, error) {
 			pred := newPred()
 			cur := make([]int, s.Len)
 			leaves := 0
+			start := false             // the next leaf is the first below its prefix
 			var rec func(pos int) bool // false = abort this prefix's walk
 			rec = func(pos int) bool {
 				if stop.Load() {
@@ -252,7 +268,9 @@ func existsPar(o Options, s Space, newPred func() Pred) (bool, error) {
 						stop.Store(true)
 						return false
 					}
-					if pred(cur) {
+					first := start
+					start = false
+					if pred(cur, first) {
 						found.Store(true)
 						stop.Store(true)
 						return false
@@ -283,6 +301,7 @@ func existsPar(o Options, s Space, newPred func() Pred) (bool, error) {
 					return
 				}
 				decodePrefix(s, depth, i, cur)
+				start = true
 				rec(depth)
 			}
 		}()

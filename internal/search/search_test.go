@@ -3,6 +3,8 @@ package search
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -110,10 +112,10 @@ func TestPerWorkerPredicates(t *testing.T) {
 		wantWorkers := int64(o.pool())
 		for _, forAll := range []bool{false, true} {
 			var made atomic.Int64
-			newPred := func() Pred {
+			newPred := func() WorkerPred {
 				made.Add(1)
 				calls := 0
-				return func(a []int) bool {
+				return func(a []int, _ bool) bool {
 					calls++ // unsynchronized: -race flags a predicate two workers share
 					if forAll {
 						return !target(a)
@@ -136,6 +138,53 @@ func TestPerWorkerPredicates(t *testing.T) {
 			if made.Load() != wantWorkers {
 				t.Errorf("workers %d forAll %v: %d predicates made, want %d", o.Workers, forAll, made.Load(), wantWorkers)
 			}
+		}
+	}
+}
+
+// TestWorkerPredStart: a per-worker predicate is told where each prefix
+// its worker claims begins. With no witness every assignment is visited,
+// so the starts are exactly the prefixes' first assignments — one per
+// prefix under a pool, the space's first under the sequential engine —
+// and every other assignment comes without the flag.
+func TestWorkerPredStart(t *testing.T) {
+	s := Uniform(6, 3) // 729 assignments
+	for _, o := range []Options{Sequential(), Parallel(3)} {
+		var mu sync.Mutex
+		var starts [][]int
+		visits := 0
+		newPred := func() WorkerPred {
+			return func(a []int, start bool) bool {
+				mu.Lock()
+				defer mu.Unlock()
+				visits++
+				if start {
+					starts = append(starts, append([]int(nil), a...))
+				}
+				return false
+			}
+		}
+		if got, err := ExistsPerWorker(o, s, newPred); got || err != nil {
+			t.Fatalf("workers %d: (%v, %v), want (false, nil)", o.Workers, got, err)
+		}
+		depth, prefixes := 0, 1
+		if o.pool() > 1 {
+			depth, prefixes = splitDepth(o, s)
+		}
+		if visits != 729 || len(starts) != prefixes {
+			t.Fatalf("workers %d: %d visits, %d starts; want 729 visits, %d starts", o.Workers, visits, len(starts), prefixes)
+		}
+		seen := map[string]bool{}
+		for _, a := range starts {
+			seen[fmt.Sprint(a[:depth])] = true
+			for _, c := range a[depth:] {
+				if c != 0 {
+					t.Errorf("workers %d: start at %v is not the first assignment below its prefix", o.Workers, a)
+				}
+			}
+		}
+		if len(seen) != prefixes {
+			t.Errorf("workers %d: starts cover %d distinct prefixes, want %d", o.Workers, len(seen), prefixes)
 		}
 	}
 }

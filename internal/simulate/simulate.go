@@ -50,6 +50,16 @@ func (in Input) LocalSize() int {
 // Machine is a synchronous distributed algorithm. Implementations must be
 // deterministic and must not share mutable state across nodes; the engine
 // calls the three functions concurrently for different nodes.
+//
+// Determinism is what lets the incremental fast path
+// (Prepared.RunAccepted) reuse an earlier run: it may skip Init, Round
+// and Output for a node whose input and received messages are unchanged
+// since the previous run on the same Scratch, keeping that node's
+// recorded messages and verdict. A node it does run starts from Init
+// and gets every round in order, the early ones on the messages the
+// trace recorded for them. Side effects of the three functions are thus
+// no measure of the work: a counter in Init sees fewer calls than nodes
+// × runs.
 type Machine struct {
 	// Name identifies the machine in errors and experiment output.
 	Name string
@@ -126,8 +136,9 @@ var ErrDidNotTerminate = errors.New("simulate: machine did not terminate")
 // Prepared is a simulation instance with the per-(graph, id) setup —
 // identifier-sorted neighbor orders and the outbox slot map — computed
 // once, so that many executions (differing machines and certificate
-// lists) amortize it. A Prepared is immutable after Prepare and safe for
-// concurrent Run calls; game evaluations and the Batch scheduler run
+// lists) amortize it. A Prepared is immutable after Prepare (apart from
+// its diameter, computed once on first use) and safe for concurrent Run
+// calls; game evaluations and the Batch scheduler run
 // thousands of executions against a single instance.
 type Prepared struct {
 	g  *graph.Graph
@@ -138,6 +149,10 @@ type Prepared struct {
 	// (neighborOrder[u][j]), so incoming messages are located by pure
 	// slice indexing on the hot path.
 	recvSlot [][]int
+
+	// diam is the graph's diameter, made on first use (see diameter).
+	diamOnce sync.Once
+	diam     int
 }
 
 // Prepare computes the reusable setup for executions of machines on
@@ -169,6 +184,13 @@ func Prepare(g *graph.Graph, id graph.IDAssignment) (*Prepared, error) {
 		}
 	}
 	return p, nil
+}
+
+// diameter returns the graph's diameter, computed on first use.
+// RunAccepted compares it with a run's round count.
+func (p *Prepared) diameter() int {
+	p.diamOnce.Do(func() { p.diam = p.g.Diameter() })
+	return p.diam
 }
 
 // Graph returns the prepared graph.
