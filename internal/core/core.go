@@ -23,6 +23,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/cert"
@@ -146,14 +147,15 @@ func (a *Arbiter) GameValueEngine(prep *simulate.Prepared, domains []cert.Domain
 		return false, fmt.Errorf("core: %d domains for level %v", len(domains), a.Level)
 	}
 	ev := newGameEval(a, prep, domains, e, false)
-	return ev.eval(ev.newContext(nil), 1, e, true)
+	v, _, err := ev.eval(ev.newContext(nil), 1, e, true)
+	return v, err
 }
 
 // gameEval carries the state shared by every worker of one game
 // evaluation: the prepared simulation instance, the compiled per-level
 // domains, the optimization-layer state derived from the Engine (memo
-// seed, collected automorphisms, packed innermost enumerator, leaf
-// buffer mode), and the first error raised by any leaf.
+// seed, collected automorphisms, leaf buffer mode), and the first error
+// raised by any leaf.
 type gameEval struct {
 	a     *Arbiter
 	prep  *simulate.Prepared
@@ -166,9 +168,6 @@ type gameEval struct {
 	// their inverses (nil when symmetry pruning is off; see sym.go).
 	auts   [][]int
 	autInv [][]int
-	// packed enumerates the innermost quantifier domain as a mixed-radix
-	// word (nil when the domain does not fit or bitsets are off).
-	packed *cert.Packed
 	// pooled selects leaf runs on reused buffers (simulate.RunAccepted);
 	// reference mode runs leaves through simulate.Prepared.Run.
 	pooled bool
@@ -193,9 +192,9 @@ type leafScratch struct {
 // seqContext is the state of one sequential context of an exhaustive
 // game: the top-level call, or one fan-out worker, which runs its share
 // of the fanned-out level and everything below it one choice at a time.
-// It is made once per context and passed down eval, evalLevel and
-// evalPackedLeaves, so a leaf costs no checkout; its leaf buffers are
-// made on its first leaf (see leafBuffers).
+// It is made once per context and passed down eval and evalLevel, so a
+// leaf costs no checkout; its leaf buffers are made on its first leaf
+// (see leafBuffers).
 type seqContext struct {
 	// moves is the full move vector: entries below the context's own
 	// level alias the enclosing context's buffers (read-only while the
@@ -217,10 +216,7 @@ func newGameEval(a *Arbiter, prep *simulate.Prepared, domains []cert.Domain, eng
 	for i, d := range domains {
 		ev.enums[i] = d.Enum()
 	}
-	if l := len(ev.enums); l > 0 {
-		if last := ev.enums[l-1]; !eng.NoBitset && last.Len() > 0 {
-			ev.packed, _ = last.Pack()
-		}
+	if len(ev.enums) > 0 {
 		if !eng.NoSymmetry && !strategic {
 			ev.initSymmetry()
 		}
@@ -277,21 +273,29 @@ func (ev *gameEval) fail(err error) {
 	ev.errOnce.Do(func() { ev.err = err })
 }
 
-// leaf executes the arbiter's machine on fully chosen certificates. The
-// game levels are the unit of parallelism, so each leaf runs its nodes
-// sequentially (identical results either way; see simulate). With
-// buffers (ls non-nil) the run goes through
+// keepAll is the keep of a value that vouches for no other choice: an
+// outer level's subgame, a symmetry-skipped choice, an error, or a
+// reference-mode leaf. search clamps it to the space's Len.
+const keepAll = math.MaxInt
+
+// leaf executes the arbiter's machine on fully chosen certificates and
+// returns its verdict with its keep: the innermost level's choices at
+// nodes keep and beyond do not change the verdict (see
+// simulate.Scratch.Keep). The game levels are the unit of parallelism,
+// so each leaf runs its nodes sequentially (identical results either
+// way; see simulate). With buffers (ls non-nil) the run goes through
 // simulate.Prepared.RunAccepted, which reruns only the nodes the
 // change from the buffers' previous leaf reaches; reference mode (ls
-// nil) pays the allocating Run path on every node.
-func (ev *gameEval) leaf(ls *leafScratch, chosen []cert.Assignment) (bool, error) {
+// nil) pays the allocating Run path on every node and vouches for no
+// other leaf.
+func (ev *gameEval) leaf(ls *leafScratch, chosen []cert.Assignment) (bool, int, error) {
 	if ls == nil {
 		ev.count(int64(ev.prep.Graph().N()))
 		res, err := ev.prep.Run(ev.a.Machine, cert.NodeLists(chosen...), simulate.Options{Sequential: true})
 		if err != nil {
-			return false, err
+			return false, keepAll, err
 		}
-		return res.Accepted(), nil
+		return res.Accepted(), keepAll, nil
 	}
 	var lists [][]string
 	if len(chosen) > 0 {
@@ -306,7 +310,7 @@ func (ev *gameEval) leaf(ls *leafScratch, chosen []cert.Assignment) (bool, error
 	runs := ls.sim.NodeRuns()
 	ok, err := ev.prep.RunAccepted(ev.a.Machine, lists, 0, ls.sim)
 	ev.count(ls.sim.NodeRuns() - runs)
-	return ok, err
+	return ok, ls.sim.Keep(), err
 }
 
 // count adds one leaf that started nodeRuns nodes to the work tally.
@@ -323,17 +327,23 @@ func (ev *gameEval) count(nodeRuns int64) {
 // configured — the whole-game entry (i == 1, empty prefix) is the
 // warm-path hit that makes repeated evaluations of the same game a
 // single table lookup. par marks that no enclosing level has been fanned
-// out yet (see evalLevel).
-func (ev *gameEval) eval(c *seqContext, i int, e Engine, par bool) (bool, error) {
+// out yet (see evalLevel). The int is the keep the walk of level i−1
+// may use: a leaf's (see leaf) past the innermost level, keepAll above
+// it.
+func (ev *gameEval) eval(c *seqContext, i int, e Engine, par bool) (bool, int, error) {
 	if i > len(ev.enums) {
 		return ev.leaf(ev.leafBuffers(c), c.moves)
 	}
+	var v bool
+	var err error
 	if ev.seed != "" && i <= memoMaxLevel {
-		return e.Memo.Do(e.Opts.Ctx, subkey(ev.seed, i, c.moves[:i-1]), func() (bool, error) {
+		v, err = e.Memo.Do(e.Opts.Ctx, subkey(ev.seed, i, c.moves[:i-1]), func() (bool, error) {
 			return ev.evalLevel(c, i, e, par)
 		})
+	} else {
+		v, err = ev.evalLevel(c, i, e, par)
 	}
-	return ev.evalLevel(c, i, e, par)
+	return v, keepAll, err
 }
 
 // evalLevel enumerates quantifier level i. par marks that no enclosing
@@ -342,9 +352,10 @@ func (ev *gameEval) eval(c *seqContext, i int, e Engine, par bool) (bool, error)
 // pool down to the bigger levels beneath them); everything below a
 // fan-out runs sequentially within its worker. At the outermost level
 // choices that are not the lexicographic minimum of their automorphism
-// orbit are skipped (value-preserving; see sym.go), and the innermost
-// level runs on the packed mixed-radix enumerator when the domain fits
-// a word.
+// orbit are skipped (value-preserving; see sym.go). The innermost
+// level backjumps: after a leaf whose value does not decide the
+// quantifier, the walk skips every choice that agrees with it on the
+// nodes below the leaf's keep, since each of those has the same value.
 func (ev *gameEval) evalLevel(c *seqContext, i int, e Engine, par bool) (bool, error) {
 	existential := ev.a.Level.ExistentialAt(i)
 	enum := ev.enums[i-1]
@@ -359,7 +370,7 @@ func (ev *gameEval) evalLevel(c *seqContext, i int, e Engine, par bool) (bool, e
 		prefix := c.moves[:i-1]
 		newPred := func() search.WorkerPred {
 			w := ev.newContext(prefix)
-			return func(choices []int, start bool) bool {
+			return func(choices []int, start bool) (bool, int) {
 				if start && w.leaf != nil {
 					// A new prefix: its first leaf must not depend on
 					// which prefix the worker ran before, so the work of
@@ -369,17 +380,17 @@ func (ev *gameEval) evalLevel(c *seqContext, i int, e Engine, par bool) (bool, e
 				if sym && ev.symSkip(choices) {
 					// A pruned choice must not decide the quantifier: it
 					// neither witnesses the ∃ nor refutes the ∀.
-					return !existential
+					return !existential, keepAll
 				}
 				enum.Decode(choices, w.moves[i-1])
-				v, err := ev.eval(w, i+1, e, false)
+				v, keep, err := ev.eval(w, i+1, e, false)
 				if err != nil {
 					ev.fail(err)
 					// Short-circuit the enclosing quantifier so the pool
 					// drains: a witness for ∃, a counterexample for ∀.
-					return existential
+					return existential, keepAll
 				}
-				return v
+				return v, keep
 			}
 		}
 		var val bool
@@ -397,39 +408,36 @@ func (ev *gameEval) evalLevel(c *seqContext, i int, e Engine, par bool) (bool, e
 		}
 		return val, nil
 	}
-	if i == len(ev.enums) && ev.packed != nil && !sym {
-		return ev.evalPackedLeaves(c, i, e, existential)
-	}
 	// Existential: succeed if some choice works. Universal: fail if
 	// some choice fails.
 	found := existential // value if enumeration exhausts: ¬∃ => false, ∀ => true
 	var innerErr error
-	complete := search.ForEach(space, func(choices []int) bool {
+	complete := search.ForEachPruned(space, func(choices []int) (bool, int) {
 		// Mirror the ctx polling of the parallel branch so cancellation
 		// reaches sequential evaluations too.
 		if e.Opts.Ctx != nil {
 			if innerErr = e.Opts.Ctx.Err(); innerErr != nil {
-				return false
+				return false, 0
 			}
 		}
 		if sym && ev.symSkip(choices) {
-			return true
+			return true, keepAll
 		}
 		enum.Decode(choices, c.moves[i-1])
-		v, err := ev.eval(c, i+1, e, par)
+		v, keep, err := ev.eval(c, i+1, e, par)
 		if err != nil {
 			innerErr = err
-			return false
+			return false, 0
 		}
 		if existential && v {
 			found = true
-			return false // short-circuit ∃
+			return false, 0 // short-circuit ∃
 		}
 		if !existential && !v {
 			found = false
-			return false // short-circuit ∀
+			return false, 0 // short-circuit ∀
 		}
-		return true
+		return true, keep
 	})
 	if innerErr != nil {
 		return false, innerErr
@@ -441,50 +449,19 @@ func (ev *gameEval) evalLevel(c *seqContext, i int, e Engine, par bool) (bool, e
 	return found, nil
 }
 
-// evalPackedLeaves enumerates the innermost quantifier level with the
-// packed mixed-radix counter: every step rewrites only the certificate
-// strings touched by the carry and goes straight to a leaf run, which is
-// where a game evaluation spends almost all of its time.
-func (ev *gameEval) evalPackedLeaves(c *seqContext, i int, e Engine, existential bool) (bool, error) {
-	ls := ev.leafBuffers(c)
-	var innerErr error
-	complete := ev.packed.ForEach(c.moves[i-1], func(cert.Assignment) bool {
-		// One cancellation poll per leaf, matching the unpacked walk (a
-		// leaf is a full machine run, so the atomic load is noise).
-		if e.Opts.Ctx != nil {
-			if innerErr = e.Opts.Ctx.Err(); innerErr != nil {
-				return false
-			}
-		}
-		v, err := ev.leaf(ls, c.moves)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		// Continue while the quantifier is undecided: ∃ until a witness,
-		// ∀ until a counterexample.
-		return v != existential
-	})
-	if innerErr != nil {
-		return false, innerErr
-	}
-	if complete {
-		return !existential, nil
-	}
-	return existential, nil
-}
-
 // strategyLeaf runs one strategy-game leaf on a leaf buffer set checked
 // out for just this leaf: the move vector of a strategy game is rebuilt
 // by append on every branch, so there is no sequential context to hold
 // the buffers.
 func (ev *gameEval) strategyLeaf(chosen []cert.Assignment) (bool, error) {
-	if ev.leafPool == nil {
-		return ev.leaf(nil, chosen)
+	var ls *leafScratch
+	if ev.leafPool != nil {
+		var release func()
+		ls, release = ev.leafPool.Get()
+		defer release()
 	}
-	ls, release := ev.leafPool.Get()
-	defer release()
-	return ev.leaf(ls, chosen)
+	v, _, err := ev.leaf(ls, chosen)
+	return v, err
 }
 
 // Strategy produces a certificate assignment for a player given the
@@ -614,29 +591,6 @@ func (ev *gameEval) strategyRec(g *graph.Graph, id graph.IDAssignment, strategie
 			return false, err
 		}
 		return ok, nil
-	}
-	if i == l && ev.packed != nil {
-		// Innermost universal level: packed enumeration straight to the
-		// leaves, rewriting only the carry-touched certificate strings.
-		buf := make(cert.Assignment, enum.Len())
-		var innerErr error
-		complete := ev.packed.ForEach(buf, func(cert.Assignment) bool {
-			if e.Opts.Ctx != nil {
-				if innerErr = e.Opts.Ctx.Err(); innerErr != nil {
-					return false
-				}
-			}
-			v, err := ev.strategyRec(g, id, strategies, append(chosen, buf), i+1, e, par)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			return v // a counterexample stops the walk
-		})
-		if innerErr != nil {
-			return false, innerErr
-		}
-		return complete, nil
 	}
 	buf := make(cert.Assignment, enum.Len())
 	ok := true

@@ -20,7 +20,7 @@ import (
 type Engine struct {
 	// Opts selects the search engine (worker pool, split depth, context).
 	// Opts.Ctx is the evaluation's cancellation port: every enumeration
-	// loop of the engine polls it, including the memo/bitset paths.
+	// loop of the engine polls it, including the memo paths.
 	Opts search.Options
 
 	// Memo, when non-nil, memoizes subgame values at quantifier levels
@@ -41,10 +41,6 @@ type Engine struct {
 	// strategies observe node indices, which breaks the equivariance the
 	// soundness argument needs.)
 	NoSymmetry bool
-
-	// NoBitset disables the packed mixed-radix enumeration of the
-	// innermost quantifier level.
-	NoBitset bool
 
 	// NoPool disables pooled leaf execution (simulate.RunAccepted) and
 	// runs every leaf through the allocating simulate.Prepared.Run path.
@@ -68,7 +64,7 @@ type Counters struct {
 }
 
 // Reference returns the unoptimized engine: single-threaded search, no
-// memo, no symmetry pruning, no packed enumeration, no buffer pooling.
+// memo, no symmetry pruning, no buffer pooling (so no backjumping).
 // It is the trusted baseline every optimization layer is
 // equivalence-tested against — in the ProCoS sense, the specification
 // the optimized engine must provably refine.
@@ -76,7 +72,6 @@ func Reference() Engine {
 	return Engine{
 		Opts:       search.Sequential(),
 		NoSymmetry: true,
-		NoBitset:   true,
 		NoPool:     true,
 	}
 }

@@ -157,7 +157,6 @@ func engineConfigs(memo *Memo) []struct {
 		{"optimized parallel", Engine{Opts: search.Parallel(4)}},
 		{"memo sequential", Engine{Opts: search.Sequential(), Memo: memo, Salt: "t"}},
 		{"memo parallel", Engine{Opts: search.Parallel(4), Memo: memo, Salt: "t"}},
-		{"memo no-bitset", Engine{Opts: search.Parallel(4), Memo: memo, Salt: "t", NoBitset: true}},
 		{"memo no-symmetry", Engine{Opts: search.Parallel(4), Memo: memo, Salt: "t", NoSymmetry: true}},
 		{"memo no-pool", Engine{Opts: search.Parallel(4), Memo: memo, Salt: "t", NoPool: true}},
 	}

@@ -1,0 +1,141 @@
+package core_test
+
+import (
+	"testing"
+
+	"repro/internal/arbiters"
+	"repro/internal/cert"
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/search"
+	"repro/internal/simulate"
+)
+
+// bitMachine is a one-round machine whose verdict at a node is
+// accept(label, certs).
+func bitMachine(name string, accept func(label string, certs []string) bool) *simulate.Machine {
+	return &simulate.Machine{
+		Name:  name,
+		Init:  func(in simulate.Input) any { return accept(in.Label, in.Certs) },
+		Round: func(any, int, []string) ([]string, bool) { return nil, true },
+		Output: func(s any) string {
+			if s.(bool) {
+				return "1"
+			}
+			return "0"
+		},
+	}
+}
+
+// bitOf reads a missing certificate bit as "0".
+func bitOf(s string) byte {
+	if s == "" {
+		return '0'
+	}
+	return s[0]
+}
+
+// workInstance is one game of the games-cold rotation.
+type workInstance struct {
+	name    string
+	arb     *core.Arbiter
+	prep    *simulate.Prepared
+	domains []cert.Domain
+}
+
+// workCounts is one engine configuration's (leaves, node runs) on each
+// workInstances game, in that order.
+type workCounts [5][2]int64
+
+// TestGamesColdWork pins the work the engine layers do on the five
+// games of the benchmark's games-cold rotation, as Counters reports it:
+// leaves visited and nodes started from Init. The counts are
+// deterministic (TestNodeRunsDeterministic), so a layer's saving is the
+// difference between its row and the row with it off; DESIGN.md
+// "Benchmark methodology" is this table. Every configuration must also
+// give the reference engine's value.
+func TestGamesColdWork(t *testing.T) {
+	t.Parallel()
+	seq := search.Sequential()
+	rows := []struct {
+		name string
+		eng  core.Engine
+		memo bool // a cold memo per evaluation, as in the benchmark
+		want workCounts
+	}{
+		{"default sequential", core.Engine{Opts: seq}, true,
+			workCounts{{1539, 2093}, {378, 579}, {6579, 10083}, {13, 35}, {16807, 84035}}},
+		{"default Parallel(2)", core.Engine{Opts: search.Parallel(2)}, true,
+			workCounts{{1539, 2187}, {378, 729}, {6579, 10279}, {81, 567}, {16807, 84035}}},
+		{"no memo", core.Engine{Opts: seq}, false,
+			workCounts{{1539, 2093}, {378, 579}, {6579, 10083}, {13, 35}, {16807, 84035}}},
+		{"no symmetry", core.Engine{Opts: seq, NoSymmetry: true}, true,
+			workCounts{{1539, 2093}, {729, 1092}, {19683, 29523}, {13, 35}, {16807, 84035}}},
+		{"no pooled leaves (no incremental runs, no backjumping)", core.Engine{Opts: seq, NoPool: true}, true,
+			workCounts{{25839, 129195}, {378, 2268}, {6579, 59211}, {2187, 15309}, {16807, 84035}}},
+	}
+	for i, in := range workInstances(t) {
+		want, err := in.arb.GameValueEngine(in.prep, in.domains, core.Reference())
+		if err != nil {
+			t.Fatalf("%s reference: %v", in.name, err)
+		}
+		for _, row := range rows {
+			c := new(core.Counters)
+			eng := row.eng
+			eng.Counters = c
+			if row.memo {
+				eng.Memo = core.NewMemo(0)
+			}
+			got, err := in.arb.GameValueEngine(in.prep, in.domains, eng)
+			if err != nil || got != want {
+				t.Fatalf("%s, %s: (%v, %v), reference %v", in.name, row.name, got, err, want)
+			}
+			if w := row.want[i]; c.Leaves.Load() != w[0] || c.NodeRuns.Load() != w[1] {
+				t.Errorf("%s, %s: %d leaves and %d node runs, want %d and %d",
+					in.name, row.name, c.Leaves.Load(), c.NodeRuns.Load(), w[0], w[1])
+			}
+		}
+	}
+}
+
+// workInstances are the games of the benchmark's games-cold rotation,
+// rebuilt here: each outer level runs to exhaustion, so every count is
+// a fixed number.
+func workInstances(t *testing.T) []workInstance {
+	parity := bitMachine("bench:triple-parity", func(label string, c []string) bool {
+		return len(c) == 3 && bitOf(c[0])^bitOf(c[1])^bitOf(c[2])^label[0] == 0
+	})
+	acceptAll := bitMachine("bench:accept-all", func(string, []string) bool { return true })
+	match := bitMachine("bench:match-selected", func(label string, c []string) bool {
+		return len(c) >= 1 && c[0] == label && label == "1"
+	})
+	oneBit := bitMachine("bench:one-bit", func(_ string, c []string) bool { return len(c) >= 1 && len(c[0]) == 1 })
+	arb := func(m *simulate.Machine, l core.Level) *core.Arbiter {
+		return &core.Arbiter{Machine: m, Level: l, RadiusID: 1}
+	}
+	u := cert.UniformDomain
+	// prepare uses period-3 identifiers when asked, and otherwise the
+	// small locally unique assignment a service node uses.
+	prepare := func(g *graph.Graph, period3 bool) *simulate.Prepared {
+		ids := graph.SmallLocallyUnique(g, 1)
+		if period3 {
+			for i := range ids {
+				ids[i] = []string{"0", "1", "10"}[i%3]
+			}
+		}
+		prep, err := simulate.Prepare(g, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prep
+	}
+	return []workInstance{
+		{"triple-parity-sigma3-P5", arb(parity, core.Sigma(3)), prepare(graph.Path(5).MustWithLabels([]string{"0", "1", "1", "0", "1"}), false),
+			[]cert.Domain{u(5, 0), u(5, 1), u(5, 1)}},
+		{"pi1-C6-period3", arb(acceptAll, core.Pi(1)), prepare(graph.Cycle(6), true), []cert.Domain{u(6, 1)}},
+		{"pi1-C9-period3", arb(acceptAll, core.Pi(1)), prepare(graph.Cycle(9), true), []cert.Domain{u(9, 1)}},
+		{"lemma11-relativized-P7", arb(core.Relativize(match, core.Sigma(1), []core.Restrictor{{Machine: oneBit, Move: 1}}, 1), core.Sigma(1)),
+			prepare(graph.Path(7).MustWithLabels([]string{"1", "0", "1", "1", "0", "1", "0"}), false), []cert.Domain{u(7, 1)}},
+		{"4-colorable-K5", arb(arbiters.KColorable(4), core.Sigma(1)), prepare(graph.Complete(5), false), []cert.Domain{u(5, 2)}},
+	}
+}

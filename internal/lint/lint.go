@@ -193,7 +193,7 @@ func isEngineOptions(t types.Type) bool { return isNamed(t, "search", "Options")
 
 // isGameEngine reports whether t is the core game engine's Engine
 // configuration (which carries search.Options, and with it the
-// cancellation context, into the memo/bitset enumeration loops).
+// cancellation context, into the memo and leaf enumeration loops).
 func isGameEngine(t types.Type) bool { return isNamed(t, "core", "Engine") }
 
 // hasEnginePort reports whether the signature accepts a cancellation

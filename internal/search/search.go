@@ -12,7 +12,9 @@
 // exhausts the suffix below its claimed prefix. Exists and ForAll
 // short-circuit through an atomic stop flag the moment any worker finds a
 // witness (respectively a counterexample), and honor context.Context
-// cancellation between leaves.
+// cancellation between leaves. A per-worker predicate may also vouch
+// for assignments it has not been shown (its keep; see WorkerPred), and
+// the walk then backjumps past them.
 //
 // Because predicates are required to be pure, the Boolean value of
 // Exists/ForAll is independent of visitation order, so the parallel
@@ -54,14 +56,23 @@ func Uniform(n, k int) Space {
 type Pred func(assignment []int) bool
 
 // WorkerPred is the predicate of one worker (see ExistsPerWorker). Its
-// value must be that of a Pred; start additionally tells it where the
+// value ok must be that of a Pred; start additionally tells it where the
 // prefixes the worker claims begin: start is true on the first
 // assignment the worker visits below each claimed prefix, and under the
 // sequential engine on the first assignment of the space. A predicate
 // that carries state from one assignment to the next (a cache of its
 // last evaluation, say) can drop it there, so that the work it does on
 // a prefix does not depend on which prefixes its worker claimed before.
-type WorkerPred func(assignment []int, start bool) bool
+//
+// keep vouches for assignments the predicate has not been shown: every
+// assignment that agrees with this one on positions 0..keep−1 has the
+// same value, so the engine skips those it has not visited yet (see
+// ForEachPruned). A keep of Len or more vouches for no other
+// assignment. Under a pool, a keep at or below the split depth ends the
+// walk of the current prefix only: the engine never skips a prefix it
+// has not claimed, so which assignments a worker visits does not
+// depend on scheduling.
+type WorkerPred func(assignment []int, start bool) (ok bool, keep int)
 
 // Options selects the engine. The zero value is the parallel default.
 type Options struct {
@@ -117,21 +128,38 @@ const maxPrefixes = 1 << 16
 // shared cursor slice that callers must not retain; it stops early when
 // yield returns false and reports whether every assignment was yielded.
 func ForEach(s Space, yield func([]int) bool) bool {
-	cur := make([]int, s.Len)
-	var rec func(pos int) bool
-	rec = func(pos int) bool {
-		if pos == s.Len {
-			return yield(cur)
+	return ForEachPruned(s, func(a []int) (bool, int) { return yield(a), s.Len })
+}
+
+// ForEachPruned is ForEach with backjumping: yield also returns keep,
+// and the walk then skips every later assignment that agrees with the
+// current one on positions 0..keep−1 — the rest of the subtree below
+// that prefix — and goes on at the next choice of position keep−1. A
+// keep of Len or more skips nothing, and a keep of 0 ends the walk. It
+// reports whether the walk ran to the end, skips included.
+func ForEachPruned(s Space, yield func([]int) (bool, int)) bool {
+	return walk(s, 0, make([]int, s.Len), yield)
+}
+
+// walk is ForEachPruned over the assignments that agree with cur on
+// positions 0..depth−1; a keep at or below depth ends the walk.
+func walk(s Space, depth int, cur []int, yield func([]int) (bool, int)) bool {
+	clear(cur[depth:])
+	for {
+		more, keep := yield(cur)
+		if !more {
+			return false
 		}
-		for c := 0; c < s.Size(pos); c++ {
-			cur[pos] = c
-			if !rec(pos + 1) {
-				return false
-			}
+		p := min(keep, s.Len) - 1
+		for p >= depth && cur[p]+1 == s.Size(p) {
+			p--
 		}
-		return true
+		if p < depth {
+			return true
+		}
+		cur[p]++
+		clear(cur[p+1:])
 	}
-	return rec(0)
 }
 
 // Exists reports whether some assignment of s satisfies pred,
@@ -140,7 +168,7 @@ func ForEach(s Space, yield func([]int) bool) bool {
 // the value equals that of the sequential engine.
 func Exists(o Options, s Space, pred Pred) (bool, error) {
 	return ExistsPerWorker(o, s, func() WorkerPred {
-		return func(a []int, _ bool) bool { return pred(a) }
+		return func(a []int, _ bool) (bool, int) { return pred(a), s.Len }
 	})
 }
 
@@ -188,7 +216,7 @@ func smallSpace(s Space) bool {
 // Exists.
 func ForAll(o Options, s Space, pred Pred) (bool, error) {
 	return ForAllPerWorker(o, s, func() WorkerPred {
-		return func(a []int, _ bool) bool { return pred(a) }
+		return func(a []int, _ bool) (bool, int) { return pred(a), s.Len }
 	})
 }
 
@@ -197,7 +225,10 @@ func ForAll(o Options, s Space, pred Pred) (bool, error) {
 func ForAllPerWorker(o Options, s Space, newPred func() WorkerPred) (bool, error) {
 	some, err := ExistsPerWorker(o, s, func() WorkerPred {
 		pred := newPred()
-		return func(a []int, start bool) bool { return !pred(a, start) }
+		return func(a []int, start bool) (bool, int) {
+			ok, keep := pred(a, start)
+			return !ok, keep
+		}
 	})
 	return !some && err == nil, err
 }
@@ -206,18 +237,19 @@ func existsSeq(o Options, s Space, pred WorkerPred) (bool, error) {
 	found := false
 	leaves := 0
 	var err error
-	ForEach(s, func(a []int) bool {
+	ForEachPruned(s, func(a []int) (bool, int) {
 		leaves++
 		if o.Ctx != nil && leaves%ctxCheckStride == 0 {
 			if err = o.Ctx.Err(); err != nil {
-				return false
+				return false, 0
 			}
 		}
-		if pred(a, leaves == 1) {
+		ok, keep := pred(a, leaves == 1)
+		if ok {
 			found = true
-			return false
+			return false, 0
 		}
-		return true
+		return true, keep
 	})
 	if err != nil {
 		return false, err
@@ -256,34 +288,26 @@ func existsPar(o Options, s Space, newPred func() WorkerPred) (bool, error) {
 			pred := newPred()
 			cur := make([]int, s.Len)
 			leaves := 0
-			start := false             // the next leaf is the first below its prefix
-			var rec func(pos int) bool // false = abort this prefix's walk
-			rec = func(pos int) bool {
+			start := false // the next leaf is the first below its prefix
+			// visit is the walk's yield: false aborts this prefix's walk.
+			visit := func(a []int) (bool, int) {
 				if stop.Load() {
-					return false
+					return false, 0
 				}
-				if pos == s.Len {
-					leaves++
-					if o.Ctx != nil && leaves%ctxCheckStride == 0 && o.Ctx.Err() != nil {
-						stop.Store(true)
-						return false
-					}
-					first := start
-					start = false
-					if pred(cur, first) {
-						found.Store(true)
-						stop.Store(true)
-						return false
-					}
-					return true
+				leaves++
+				if o.Ctx != nil && leaves%ctxCheckStride == 0 && o.Ctx.Err() != nil {
+					stop.Store(true)
+					return false, 0
 				}
-				for c := 0; c < s.Size(pos); c++ {
-					cur[pos] = c
-					if !rec(pos + 1) {
-						return false
-					}
+				first := start
+				start = false
+				ok, keep := pred(a, first)
+				if ok {
+					found.Store(true)
+					stop.Store(true)
+					return false, 0
 				}
-				return true
+				return true, keep
 			}
 			for {
 				if stop.Load() {
@@ -302,7 +326,7 @@ func existsPar(o Options, s Space, newPred func() WorkerPred) (bool, error) {
 				}
 				decodePrefix(s, depth, i, cur)
 				start = true
-				rec(depth)
+				walk(s, depth, cur, visit)
 			}
 		}()
 	}

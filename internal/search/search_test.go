@@ -115,12 +115,12 @@ func TestPerWorkerPredicates(t *testing.T) {
 			newPred := func() WorkerPred {
 				made.Add(1)
 				calls := 0
-				return func(a []int, _ bool) bool {
+				return func(a []int, _ bool) (bool, int) {
 					calls++ // unsynchronized: -race flags a predicate two workers share
 					if forAll {
-						return !target(a)
+						return !target(a), len(a)
 					}
-					return target(a)
+					return target(a), len(a)
 				}
 			}
 			var got, want bool
@@ -154,14 +154,14 @@ func TestWorkerPredStart(t *testing.T) {
 		var starts [][]int
 		visits := 0
 		newPred := func() WorkerPred {
-			return func(a []int, start bool) bool {
+			return func(a []int, start bool) (bool, int) {
 				mu.Lock()
 				defer mu.Unlock()
 				visits++
 				if start {
 					starts = append(starts, append([]int(nil), a...))
 				}
-				return false
+				return false, len(a)
 			}
 		}
 		if got, err := ExistsPerWorker(o, s, newPred); got || err != nil {

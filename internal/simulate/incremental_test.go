@@ -104,13 +104,21 @@ func (s *byteSource) done() bool { return s.i >= len(s.b) }
 // certOptions is the certificate alphabet of the sequences.
 var certOptions = []string{"", "0", "1", "01", "10", "stall"}
 
+// keepRuns counts, per RunAccepted path, the runs of a sequence whose
+// keep left some node's certificates free to redraw.
+type keepRuns struct{ dense, traced int }
+
 // checkIncrementalSequence decodes a connected graph and a sequence of
 // runs from src — random jumps, single-node edits, repeats, nil
 // certificates, list-length changes, machine switches, resets and small
 // round bounds — and drives them all through RunAccepted on one Scratch,
 // demanding at every step the verdict and error of Run followed by
 // Accepted. A repeat after a run that left a trace must start no node.
-func checkIncrementalSequence(t testing.TB, data []byte) {
+// After every run that ends, the certificate lists of the nodes from
+// Keep on are redrawn at random, and Run must give the same verdict.
+func checkIncrementalSequence(t testing.TB, data []byte) keepRuns {
+	var freed keepRuns
+	redraw := rand.New(rand.NewSource(int64(len(data))))
 	src := &byteSource{b: data}
 	n := 1 + src.next()%8
 	var edges []graph.Edge
@@ -186,6 +194,7 @@ func checkIncrementalSequence(t testing.TB, data []byte) {
 			maxRounds = 1 + src.next()%4
 		}
 		repeat := sc.valid && sc.machine == m && maxRounds == 0 && sc.rounds-1 < sc.diam && sameLists(sc.certs, certs)
+		dense := sc.rounds > 0 && sc.rounds-1 >= sc.diam
 		runs := sc.NodeRuns()
 		got, gotErr := p.RunAccepted(m, certs, maxRounds, sc)
 		res, wantErr := p.Run(m, certs, Options{Sequential: true, MaxRounds: maxRounds})
@@ -198,7 +207,41 @@ func checkIncrementalSequence(t testing.TB, data []byte) {
 		if repeat && sc.NodeRuns() != runs {
 			t.Fatalf("step %d (%s): repeating the last run's certificates started %d nodes, want 0", step, m.Name, sc.NodeRuns()-runs)
 		}
+		if gotErr != nil {
+			continue
+		}
+		keep := sc.Keep()
+		if keep < 0 || keep > n {
+			t.Fatalf("step %d (%s, n=%d): keep %d", step, m.Name, n, keep)
+		}
+		if keep == n {
+			continue
+		}
+		if dense {
+			freed.dense++
+		} else {
+			freed.traced++
+		}
+		// Nodes from keep on get any lists that let them halt: any options
+		// but the last, "stall".
+		free := make([][]string, n)
+		for u := range free {
+			if u < keep {
+				free[u] = certList(certs, u)
+				continue
+			}
+			free[u] = make([]string, redraw.Intn(3))
+			for j := range free[u] {
+				free[u][j] = certOptions[redraw.Intn(len(certOptions)-1)]
+			}
+		}
+		res, err := p.Run(m, free, Options{Sequential: true})
+		if err != nil || res.Accepted() != got {
+			t.Fatalf("step %d (%s, n=%d, dense %v): verdict %v with keep %d under %q, but Run gives (%v, %v) under %q",
+				step, m.Name, n, dense, got, keep, certs, res != nil && res.Accepted(), err, free)
+		}
 	}
+	return freed
 }
 
 // sameLists reports whether a trace's certificate rows equal certs.
@@ -216,10 +259,16 @@ func sameLists(rows, certs [][]string) bool {
 func TestIncrementalRunMatchesRun(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(15))
+	var freed keepRuns
 	for i := 0; i < 300; i++ {
 		data := make([]byte, 40+rng.Intn(1200))
 		rng.Read(data)
-		checkIncrementalSequence(t, data)
+		f := checkIncrementalSequence(t, data)
+		freed.dense += f.dense
+		freed.traced += f.traced
+	}
+	if freed.dense == 0 || freed.traced == 0 {
+		t.Fatalf("runs with keep < n: %d dense, %d traced; want both paths to free some nodes", freed.dense, freed.traced)
 	}
 }
 

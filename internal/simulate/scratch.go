@@ -42,6 +42,8 @@ type Scratch struct {
 	touch []int  // the first round u receives a message the trace does not hold (0: none)
 
 	diam     int
+	reach    []int32 // the instance's reach table (see Prepared.locality)
+	keep     int     // the last run's keep (see Keep)
 	nodeRuns int64
 }
 
@@ -57,8 +59,8 @@ func (p *Prepared) NewScratch() *Scratch {
 		live:   make([]bool, n),
 		done:   make([]int, n),
 		touch:  make([]int, n),
-		diam:   p.diameter(),
 	}
+	sc.diam, sc.reach = p.locality()
 	maxDeg := 0
 	for u := 0; u < n; u++ {
 		d := len(p.neighborOrder[u])
@@ -87,6 +89,26 @@ func (sc *Scratch) Reset() {
 // Init, replays included.
 func (sc *Scratch) NodeRuns() int64 { return sc.nodeRuns }
 
+// Keep returns the length k of the node prefix 0..k−1 whose
+// certificates fix the verdict of the last RunAccepted on sc: every run
+// of the same machine whose certificate lists agree with that run's on
+// nodes 0..k−1 has the same verdict, whatever the other nodes hold. A
+// node that halts in round h has read only the certificates within
+// distance h−1 of it, its ball, so one rejecting node fixes a reject
+// and every node together fixes an accept. For a reject, k is thus the
+// minimum over rejecting nodes u of 1 + the largest node index in u's
+// ball; the dense pass stops at its first rejecting node and uses that
+// node's ball alone. For an accept, k is the maximum of that over all
+// nodes, which node n−1's own ball makes the node count n; so is k
+// after an error.
+func (sc *Scratch) Keep() int { return sc.keep }
+
+// ball returns 1 + the largest node index within distance halt−1 of u,
+// for a node u that halted in round halt.
+func (sc *Scratch) ball(u, halt int) int {
+	return 1 + int(sc.reach[u*(sc.diam+1)+min(halt-1, sc.diam)])
+}
+
 // RunAccepted is the fast path of Run for game leaves: it executes m
 // sequentially against the prepared instance under the per-node
 // certificate lists certs (nil for none) and reports unanimous
@@ -109,6 +131,7 @@ func (sc *Scratch) NodeRuns() int64 { return sc.nodeRuns }
 // and leaves no trace. Every other run calls Output on each node it
 // ran, even after a reject, so the trace never holds a stale verdict:
 // a skipped Output would cost the node a full rerun on the next run.
+// Every run also records its keep (see Keep).
 //
 // The recv slice handed to m.Round aliases a buffer reused across nodes
 // and rounds, which is within the Machine contract: Round must not
@@ -121,6 +144,7 @@ func (p *Prepared) RunAccepted(m *Machine, certs [][]string, maxRounds int, sc *
 		maxRounds = 64
 	}
 	n := p.g.N()
+	sc.keep = n // until a rejecting node says otherwise
 	if sc.machine != m {
 		sc.machine, sc.valid, sc.rounds = m, false, 0
 	}
@@ -207,6 +231,7 @@ func (p *Prepared) RunAccepted(m *Machine, certs [][]string, maxRounds int, sc *
 	if dense {
 		for u := 0; u < n; u++ {
 			if m.Output(sc.states[u]) != "1" {
+				sc.keep = sc.ball(u, sc.done[u])
 				return false, nil
 			}
 		}
@@ -218,7 +243,10 @@ func (p *Prepared) RunAccepted(m *Machine, certs [][]string, maxRounds int, sc *
 			sc.halt[u] = sc.done[u]
 			sc.ok[u] = m.Output(sc.states[u]) == "1"
 		}
-		accepted = accepted && sc.ok[u]
+		if !sc.ok[u] {
+			accepted = false
+			sc.keep = min(sc.keep, sc.ball(u, sc.halt[u]))
+		}
 	}
 	sc.valid = true
 	return accepted, nil

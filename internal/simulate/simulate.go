@@ -137,7 +137,7 @@ var ErrDidNotTerminate = errors.New("simulate: machine did not terminate")
 // identifier-sorted neighbor orders and the outbox slot map — computed
 // once, so that many executions (differing machines and certificate
 // lists) amortize it. A Prepared is immutable after Prepare (apart from
-// its diameter, computed once on first use) and safe for concurrent Run
+// its locality table, computed once on first use) and safe for concurrent Run
 // calls; game evaluations and the Batch scheduler run
 // thousands of executions against a single instance.
 type Prepared struct {
@@ -150,9 +150,10 @@ type Prepared struct {
 	// slice indexing on the hot path.
 	recvSlot [][]int
 
-	// diam is the graph's diameter, made on first use (see diameter).
-	diamOnce sync.Once
-	diam     int
+	// The locality table, made on first use (see locality).
+	localOnce sync.Once
+	diam      int
+	reach     []int32
 }
 
 // Prepare computes the reusable setup for executions of machines on
@@ -186,11 +187,31 @@ func Prepare(g *graph.Graph, id graph.IDAssignment) (*Prepared, error) {
 	return p, nil
 }
 
-// diameter returns the graph's diameter, computed on first use.
-// RunAccepted compares it with a run's round count.
-func (p *Prepared) diameter() int {
-	p.diamOnce.Do(func() { p.diam = p.g.Diameter() })
-	return p.diam
+// locality returns the graph's diameter and its reach table, computed
+// on first use: reach[u*(diam+1)+r] is the largest node index within
+// distance r of u. RunAccepted compares the diameter with a run's round
+// count and reads its keep off the table (see Scratch.Keep). Column r
+// is the maximum of column r−1 over each closed neighbourhood, and
+// radii past the diameter read column diam.
+func (p *Prepared) locality() (int, []int32) {
+	p.localOnce.Do(func() {
+		n, d := p.g.N(), p.g.Diameter()
+		w := d + 1
+		p.diam, p.reach = d, make([]int32, n*w)
+		for u := 0; u < n; u++ {
+			p.reach[u*w] = int32(u)
+		}
+		for r := 1; r <= d; r++ {
+			for u := 0; u < n; u++ {
+				m := p.reach[u*w+r-1]
+				for _, v := range p.neighborOrder[u] {
+					m = max(m, p.reach[v*w+r-1])
+				}
+				p.reach[u*w+r] = m
+			}
+		}
+	})
+	return p.diam, p.reach
 }
 
 // Graph returns the prepared graph.
