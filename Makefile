@@ -63,6 +63,9 @@ test-lifecycle:
 # FuzzReplayJournal over truncated/bit-flipped/garbage-extended
 # journal segments, and FuzzTraceparent over inbound W3C traceparent
 # headers (an invalid header must start a fresh trace, never error).
+# FuzzMemoKey derives the whole-game memo key of pairs of (graph, game
+# kind) inputs, where equal seeds must mean equal graphs and the same
+# kind, so one game's cached verdict never answers another's.
 # FuzzTupleCodec round-trips the Product/Relativize tuple messages and
 # feeds the decoder malformed ones, which must decode to empty parts.
 # FuzzIncrementalRun drives run sequences through one simulate.Scratch,

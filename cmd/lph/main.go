@@ -27,7 +27,8 @@
 // (0, the default, uses every CPU; 1 forces the sequential engine). It
 // is threaded through every subcommand: the game subcommand and the
 // certificate games behind verify fan out across the pool
-// (core.StrategyGameValuePrepared: Adam's universal levels split), and
+// (service.VerifyMemo plays them with core.StrategyGameValueEngine:
+// Adam's universal levels split), and
 // decide runs its machine on the sequential node schedule when N is 1.
 // Note the engine skips the pool on spaces too small to be worth
 // splitting — the Figure 1 instances are in that regime, so both

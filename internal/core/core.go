@@ -127,42 +127,39 @@ func (a *Arbiter) GameValueOpt(g *graph.Graph, id graph.IDAssignment, domains []
 	if err != nil {
 		return false, err
 	}
-	return a.GameValuePrepared(prep, domains, o)
-}
-
-// GameValuePrepared is GameValueOpt against an already-prepared
-// simulation instance, so callers that evaluate many games on the same
-// (graph, id) — notably the service layer's Prepared cache — skip the
-// per-instance setup entirely. It runs the optimized engine without a
-// memo table; GameValueEngine exposes the full configuration.
-func (a *Arbiter) GameValuePrepared(prep *simulate.Prepared, domains []cert.Domain, o search.Options) (bool, error) {
 	return a.GameValueEngine(prep, domains, Engine{Opts: o})
 }
 
-// GameValueEngine is the fully configurable evaluation entry point: the
-// engine selects the worker pool, the memo table, and the optimization
-// layers (see Engine). Every configuration computes the same game value.
+// GameValueEngine is the fully configurable evaluation entry point: it
+// plays the game against an already-prepared simulation instance, so
+// callers that evaluate many games on the same (graph, id) skip the
+// per-instance setup, and the engine selects the worker pool, the memo
+// table, and the optimization layers (see Engine). Every configuration
+// computes the same game value.
 func (a *Arbiter) GameValueEngine(prep *simulate.Prepared, domains []cert.Domain, e Engine) (bool, error) {
 	if len(domains) != a.Level.Alternations {
 		return false, fmt.Errorf("core: %d domains for level %v", len(domains), a.Level)
 	}
-	ev := newGameEval(a, prep, domains, e, false)
-	v, _, err := ev.eval(ev.newContext(nil), 1, e, true)
-	return v, err
+	return newGameEval(a, prep, domains, e, nil).run(e)
 }
 
 // gameEval carries the state shared by every worker of one game
 // evaluation: the prepared simulation instance, the compiled per-level
-// domains, the optimization-layer state derived from the Engine (memo
-// seed, collected automorphisms, leaf buffer mode), and the first error
-// raised by any leaf.
+// domains, Eve's strategies in a strategy-guided game, the
+// optimization-layer state derived from the Engine (memo seed, collected
+// automorphisms, leaf buffer mode), and the first error raised by any
+// leaf.
 type gameEval struct {
 	a     *Arbiter
 	prep  *simulate.Prepared
 	enums []*cert.Enum
+	// strategies plays Eve's moves of a strategy-guided game (nil in an
+	// exhaustive game; see eval).
+	strategies []Strategy
 
-	// seed is the memo key fingerprint ("" when memoization is off or
-	// the machine is unnamed; see evalSeed).
+	// seed is the whole game's memo key ("" when memoization is off,
+	// the machine is unnamed, or a strategy game has no Salt; see
+	// evalSeed).
 	seed string
 	// auts/autInv are the collected value-preserving automorphisms and
 	// their inverses (nil when symmetry pruning is off; see sym.go).
@@ -171,9 +168,6 @@ type gameEval struct {
 	// pooled selects leaf runs on reused buffers (simulate.RunAccepted);
 	// reference mode runs leaves through simulate.Prepared.Run.
 	pooled bool
-	// leafPool hands strategy games one leaf buffer set per leaf (nil
-	// for exhaustive games and in reference mode).
-	leafPool *search.Scratch[*leafScratch]
 	// counters receives the work tally (nil: none; see Engine.Counters).
 	counters *Counters
 
@@ -189,8 +183,8 @@ type leafScratch struct {
 	sim   *simulate.Scratch
 }
 
-// seqContext is the state of one sequential context of an exhaustive
-// game: the top-level call, or one fan-out worker, which runs its share
+// seqContext is the state of one sequential context of a game: the
+// top-level call, or one fan-out worker, which runs its share
 // of the fanned-out level and everything below it one choice at a time.
 // It is made once per context and passed down eval and evalLevel, so a
 // leaf costs no checkout; its leaf buffers are made on its first leaf
@@ -198,7 +192,8 @@ type leafScratch struct {
 type seqContext struct {
 	// moves is the full move vector: entries below the context's own
 	// level alias the enclosing context's buffers (read-only while the
-	// context runs), the rest are buffers the context owns.
+	// context runs), the rest are buffers the context owns or, at a
+	// strategy level, Eve's latest reply.
 	moves []cert.Assignment
 	// leaf is the context's leaf buffers (nil until its first leaf, and
 	// always nil in reference mode).
@@ -206,28 +201,26 @@ type seqContext struct {
 }
 
 // newGameEval compiles the domains and derives the optimization-layer
-// state the engine enables. strategic marks a strategy-guided game,
-// which never uses symmetry pruning: a Strategy observes node indices
-// through the graph, so its replies need not be equivariant under the
-// automorphisms, and orbit pruning of Adam's moves would be unsound.
-func newGameEval(a *Arbiter, prep *simulate.Prepared, domains []cert.Domain, eng Engine, strategic bool) *gameEval {
-	ev := &gameEval{a: a, prep: prep, enums: make([]*cert.Enum, len(domains)), counters: eng.Counters}
+// state the engine enables. strategies is nil for an exhaustive game;
+// a strategy-guided game never uses symmetry pruning: a Strategy
+// observes node indices through the graph, so its replies need not be
+// equivariant under the automorphisms, and orbit pruning of Adam's
+// moves would be unsound.
+func newGameEval(a *Arbiter, prep *simulate.Prepared, domains []cert.Domain, eng Engine, strategies []Strategy) *gameEval {
+	ev := &gameEval{a: a, prep: prep, enums: make([]*cert.Enum, len(domains)), strategies: strategies, counters: eng.Counters}
 	//lint:coarse domain compilation bounded by the level's alternation depth
 	for i, d := range domains {
 		ev.enums[i] = d.Enum()
 	}
 	if len(ev.enums) > 0 {
-		if !eng.NoSymmetry && !strategic {
+		if !eng.NoSymmetry && strategies == nil {
 			ev.initSymmetry()
 		}
 		if eng.Memo != nil {
-			ev.seed = evalSeed(a, prep, ev.enums, eng.Salt)
+			ev.seed = evalSeed(a, prep, ev.enums, eng.Salt, strategies != nil)
 		}
 	}
 	ev.pooled = !eng.NoPool
-	if ev.pooled && strategic {
-		ev.leafPool = search.NewScratch(ev.newLeafScratch)
-	}
 	return ev
 }
 
@@ -274,8 +267,8 @@ func (ev *gameEval) fail(err error) {
 }
 
 // keepAll is the keep of a value that vouches for no other choice: an
-// outer level's subgame, a symmetry-skipped choice, an error, or a
-// reference-mode leaf. search clamps it to the space's Len.
+// outer or strategy level's subgame, a symmetry-skipped choice, an
+// error, or a reference-mode leaf. search clamps it to the space's Len.
 const keepAll = math.MaxInt
 
 // leaf executes the arbiter's machine on fully chosen certificates and
@@ -321,28 +314,46 @@ func (ev *gameEval) count(nodeRuns int64) {
 	}
 }
 
+// run evaluates the whole game. With a memo seed, the game is one
+// table entry: a warm lookup answers it without building a context.
+func (ev *gameEval) run(e Engine) (bool, error) {
+	play := func() (bool, error) {
+		v, _, err := ev.eval(ev.newContext(nil), 1, e, true)
+		return v, err
+	}
+	if ev.seed == "" {
+		return play()
+	}
+	return e.Memo.Do(e.Opts.Ctx, ev.seed, play)
+}
+
 // eval evaluates quantifier levels i..ℓ in the sequential context c,
-// whose c.moves[0..i-2] are the moves already decoded above. Subgames
-// at the outer levels are served from the memo table when one is
-// configured — the whole-game entry (i == 1, empty prefix) is the
-// warm-path hit that makes repeated evaluations of the same game a
-// single table lookup. par marks that no enclosing level has been fanned
-// out yet (see evalLevel). The int is the keep the walk of level i−1
-// may use: a leaf's (see leaf) past the innermost level, keepAll above
-// it.
+// whose c.moves[0..i-2] are the moves already made above. par marks
+// that no enclosing level has been fanned out yet (see evalLevel). The
+// int is the keep the walk of level i−1 may use: a leaf's (see leaf)
+// past the innermost level, keepAll above it.
+//
+// In a strategy-guided game, Eve's level is a level with one choice:
+// her strategy's reply to the moves above it. It never claims the
+// pool, so it passes par down unchanged.
 func (ev *gameEval) eval(c *seqContext, i int, e Engine, par bool) (bool, int, error) {
 	if i > len(ev.enums) {
 		return ev.leaf(ev.leafBuffers(c), c.moves)
 	}
-	var v bool
-	var err error
-	if ev.seed != "" && i <= memoMaxLevel {
-		v, err = e.Memo.Do(e.Opts.Ctx, subkey(ev.seed, i, c.moves[:i-1]), func() (bool, error) {
-			return ev.evalLevel(c, i, e, par)
-		})
-	} else {
-		v, err = ev.evalLevel(c, i, e, par)
+	if ev.strategies != nil && ev.a.Level.ExistentialAt(i) {
+		// The full slice expression stops a strategy that appends from
+		// overwriting slot i−1.
+		k, err := ev.strategies[i-1](ev.prep.Graph(), ev.prep.ID(), c.moves[:i-1:i-1])
+		if err != nil {
+			return false, keepAll, err
+		}
+		c.moves[i-1] = k
+		// The reply depends on the whole prefix, so no leaf's keep may
+		// pass through this level to the walk above it.
+		v, _, err := ev.eval(c, i+1, e, par)
+		return v, keepAll, err
 	}
+	v, err := ev.evalLevel(c, i, e, par)
 	return v, keepAll, err
 }
 
@@ -449,21 +460,6 @@ func (ev *gameEval) evalLevel(c *seqContext, i int, e Engine, par bool) (bool, e
 	return found, nil
 }
 
-// strategyLeaf runs one strategy-game leaf on a leaf buffer set checked
-// out for just this leaf: the move vector of a strategy game is rebuilt
-// by append on every branch, so there is no sequential context to hold
-// the buffers.
-func (ev *gameEval) strategyLeaf(chosen []cert.Assignment) (bool, error) {
-	var ls *leafScratch
-	if ev.leafPool != nil {
-		var release func()
-		ls, release = ev.leafPool.Get()
-		defer release()
-	}
-	v, _, err := ev.leaf(ls, chosen)
-	return v, err
-}
-
 // Strategy produces a certificate assignment for a player given the
 // opponent's previous moves (moves[0] = κ1, …). Eve's constructive
 // strategies from the paper's proofs (spanning trees, charges, colorings)
@@ -471,10 +467,11 @@ func (ev *gameEval) strategyLeaf(chosen []cert.Assignment) (bool, error) {
 //
 // Implementations must be pure functions of their arguments: under a
 // parallel engine a strategy below Adam's fanned-out universal level is
-// invoked concurrently from several workers, and the moves entries may
-// alias pooled buffers that are overwritten once the call returns — so a
-// strategy must not share mutable state across calls and must not retain
-// moves or its entries.
+// invoked concurrently from several workers, and moves and its entries
+// alias the evaluation's move buffers, which are overwritten once the
+// call returns — so a strategy must not share mutable state across calls
+// and must not retain moves or its entries. moves has no spare capacity,
+// so appending to it copies.
 type Strategy func(g *graph.Graph, id graph.IDAssignment, moves []cert.Assignment) (cert.Assignment, error)
 
 // StrategyGameValue evaluates the game with Eve's moves produced by
@@ -506,121 +503,34 @@ func (a *Arbiter) StrategyGameValueOpt(g *graph.Graph, id graph.IDAssignment, st
 	if err != nil {
 		return false, err
 	}
-	return a.StrategyGameValuePrepared(prep, strategies, domains, o)
-}
-
-// StrategyGameValuePrepared is StrategyGameValueOpt against an
-// already-prepared simulation instance (the graph and identifier
-// assignment are taken from it), so repeated verifications of the same
-// graph — the service layer's cache hit path — pay the per-(graph, id)
-// setup only once.
-func (a *Arbiter) StrategyGameValuePrepared(prep *simulate.Prepared, strategies []Strategy, domains []cert.Domain, o search.Options) (bool, error) {
 	return a.StrategyGameValueEngine(prep, strategies, domains, Engine{Opts: o})
 }
 
-// StrategyGameValueEngine is StrategyGameValuePrepared under a full
-// engine configuration. Strategy-guided games are memoized only as a
-// whole (quantifier-prefix subgames depend on the opaque strategy
-// closures) and only when the engine carries a non-empty Salt naming
-// the strategies; they never use symmetry pruning (see newGameEval).
+// StrategyGameValueEngine is StrategyGameValueOpt against an
+// already-prepared simulation instance (the graph and identifier
+// assignment are taken from it), so repeated verifications of the same
+// graph — the service layer's cache hit path — pay the per-(graph, id)
+// setup only once, under a full engine configuration. It walks the
+// same evaluator as GameValueEngine, with each of Eve's levels cut down
+// to her strategy's reply (see eval). Strategy-guided games are
+// memoized only when the engine carries a non-empty Salt naming the
+// strategies (see evalSeed), and never use symmetry pruning (see
+// newGameEval).
 func (a *Arbiter) StrategyGameValueEngine(prep *simulate.Prepared, strategies []Strategy, domains []cert.Domain, e Engine) (bool, error) {
 	l := a.Level.Alternations
 	if len(strategies) != l || len(domains) != l {
 		return false, fmt.Errorf("core: need %d strategy/domain slots", l)
 	}
-	ev := newGameEval(a, prep, domains, e, true)
-	run := func() (bool, error) {
-		return ev.strategyRec(prep.Graph(), prep.ID(), strategies, make([]cert.Assignment, 0, l), 1, e, true)
-	}
-	if ev.seed != "" && e.Salt != "" {
-		// Level index 0 is reserved for whole strategy games, so the key
-		// can never collide with an exhaustive subgame key (i >= 1) of
-		// the same seed.
-		return e.Memo.Do(e.Opts.Ctx, subkey(ev.seed, 0, nil), run)
-	}
-	return run()
-}
-
-// strategyRec evaluates move i of the strategy-guided game with the
-// prefix chosen already played. par marks that no enclosing universal
-// level has been fanned out yet, so this one may claim the pool.
-func (ev *gameEval) strategyRec(g *graph.Graph, id graph.IDAssignment, strategies []Strategy, chosen []cert.Assignment, i int, e Engine, par bool) (bool, error) {
-	l := len(ev.enums)
-	if i > l {
-		return ev.strategyLeaf(chosen)
-	}
-	if ev.a.Level.ExistentialAt(i) {
-		if strategies[i-1] == nil {
+	//lint:coarse slot check bounded by the level's alternation depth
+	for i := 1; i <= l; i++ {
+		if a.Level.ExistentialAt(i) && strategies[i-1] == nil {
 			return false, fmt.Errorf("core: move %d is existential but has no strategy", i)
 		}
-		k, err := strategies[i-1](g, id, append([]cert.Assignment(nil), chosen...))
-		if err != nil {
-			return false, err
+		if !a.Level.ExistentialAt(i) && len(domains[i-1].MaxLen) == 0 {
+			return false, fmt.Errorf("core: move %d is universal but has no domain", i)
 		}
-		return ev.strategyRec(g, id, strategies, append(chosen, k), i+1, e, par)
 	}
-	if ev.enums[i-1].Len() == 0 {
-		return false, fmt.Errorf("core: move %d is universal but has no domain", i)
-	}
-	enum := ev.enums[i-1]
-	space := enum.Space()
-	if par && search.Splittable(e.Opts, space) {
-		// Fan this universal level out across the pool. Workers below it
-		// run sequentially, each on its own copy of the move prefix.
-		prefix := append([]cert.Assignment(nil), chosen...)
-		scratch := search.NewScratch(func() cert.Assignment {
-			return make(cert.Assignment, enum.Len())
-		})
-		ok, err := search.ForAll(e.Opts, space, func(choices []int) bool {
-			buf, release := scratch.Get()
-			defer release()
-			enum.Decode(choices, buf)
-			child := make([]cert.Assignment, 0, l)
-			child = append(append(child, prefix...), buf)
-			v, err := ev.strategyRec(g, id, strategies, child, i+1, e, false)
-			if err != nil {
-				ev.fail(err)
-				return false // a counterexample stops the ForAll
-			}
-			return v
-		})
-		if ev.err != nil {
-			return false, ev.err
-		}
-		if err != nil {
-			return false, err
-		}
-		return ok, nil
-	}
-	buf := make(cert.Assignment, enum.Len())
-	ok := true
-	var innerErr error
-	search.ForEach(space, func(choices []int) bool {
-		// The parallel fan-out polls the engine ctx inside search.ForAll;
-		// this sequential walk must poll it too so a canceled request
-		// aborts regardless of the engine (leaves are machine runs, so
-		// one check per iteration is cheap).
-		if e.Opts.Ctx != nil {
-			if innerErr = e.Opts.Ctx.Err(); innerErr != nil {
-				return false
-			}
-		}
-		enum.Decode(choices, buf)
-		v, err := ev.strategyRec(g, id, strategies, append(chosen, buf), i+1, e, par)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		if !v {
-			ok = false
-			return false
-		}
-		return true
-	})
-	if innerErr != nil {
-		return false, innerErr
-	}
-	return ok, nil
+	return newGameEval(a, prep, domains, e, strategies).run(e)
 }
 
 // Product runs several machines in lockstep on the same graph: each round,

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cert"
 	"repro/internal/graph"
+	"repro/internal/search"
 	"repro/internal/simulate"
 )
 
@@ -145,6 +146,36 @@ func TestStrategyGameValue(t *testing.T) {
 	ok, err := arb.StrategyGameValue(g, id, []Strategy{copyLabels}, []cert.Domain{{}})
 	if err != nil || !ok {
 		t.Fatalf("strategy should win: %v %v", ok, err)
+	}
+}
+
+// TestStrategyGameSlotChecks: a strategy game is refused before any
+// leaf runs unless it has one strategy/domain slot per move, a strategy
+// at every existential move and a domain at every universal one.
+func TestStrategyGameSlotChecks(t *testing.T) {
+	t.Parallel()
+	g := graph.Path(2).MustWithLabels([]string{"0", "1"})
+	prep, err := simulate.Prepare(g, graph.GloballyUnique(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply := Strategy(func(g *graph.Graph, _ graph.IDAssignment, _ []cert.Assignment) (cert.Assignment, error) {
+		return make(cert.Assignment, g.N()), nil
+	})
+	one := cert.UniformDomain(2, 1)
+	for _, tt := range []struct {
+		strategies []Strategy
+		domains    []cert.Domain
+		want       string
+	}{
+		{[]Strategy{nil, reply}, []cert.Domain{one}, "core: need 2 strategy/domain slots"},
+		{[]Strategy{nil, nil}, []cert.Domain{one, {}}, "core: move 2 is existential but has no strategy"},
+		{[]Strategy{nil, reply}, []cert.Domain{{}, {}}, "core: move 1 is universal but has no domain"},
+	} {
+		_, err := certParity(Pi(2)).StrategyGameValueEngine(prep, tt.strategies, tt.domains, Engine{Opts: search.Sequential()})
+		if err == nil || err.Error() != tt.want {
+			t.Errorf("err = %v, want %q", err, tt.want)
+		}
 	}
 }
 

@@ -87,6 +87,28 @@ func generatedGraph(rng *rand.Rand, n int) (string, *graph.Graph) {
 	return fmt.Sprintf("%s%d", name, g.N()), g.MustWithLabels(labels)
 }
 
+// bestReply is Eve's optimal last move: the first assignment of d under
+// which m accepts on prep after the moves above it (all-empty when none
+// does). It reads every certificate of those moves, and a game whose
+// last move it plays has the exhaustive game's value.
+func bestReply(m *simulate.Machine, prep *simulate.Prepared, d cert.Domain) Strategy {
+	return func(g *graph.Graph, _ graph.IDAssignment, moves []cert.Assignment) (cert.Assignment, error) {
+		best := make(cert.Assignment, g.N())
+		var err error
+		d.ForEach(func(k cert.Assignment) bool {
+			var res *simulate.Result
+			// moves has no spare capacity, so the append copies it.
+			res, err = prep.Run(m, cert.NodeLists(append(moves, k)...), simulate.Options{Sequential: true})
+			if err == nil && res.Accepted() {
+				copy(best, k)
+				return false
+			}
+			return err == nil
+		})
+		return best, err
+	}
+}
+
 // TestGeneratedGamesMatchReference is the generated differential test
 // of the engine against Reference(): Σ1, Π1, Σ2 and Π2 games of gossip
 // machines on generated paths, cycles, stars, trees, random connected
@@ -95,12 +117,26 @@ func generatedGraph(rng *rand.Rand, n int) (string, *graph.Graph) {
 // innermost level backjumps on every leaf keep, so a keep that vouched
 // for a leaf with another verdict would flip some game's value here,
 // and a keep that vouches for too little shows in the leaf count.
+//
+// Every two-level game is also played strategy-guided on the same
+// graph and machine, with Eve's level cut down to one reply: in Σ2 a
+// random fixed assignment comes first and Adam's innermost ∀ walks
+// below it; in Π2 her bestReply answers Adam's fanned-out κ1, reading
+// all of it. A strategy win must also be an exhaustive win, and a
+// bestReply last move must give exactly the exhaustive value.
 func TestGeneratedGamesMatchReference(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(19))
+	// Eve's fixed first moves come from a stream of their own, so the
+	// exhaustive games drawn do not depend on the strategy games.
+	eve := rand.New(rand.NewSource(23))
 	engines := []search.Options{search.Sequential(), search.Parallel(2), {Workers: 4, SplitDepth: 2}}
 	levels := []Level{Sigma(1), Pi(1), Sigma(2), Pi(2)}
-	values := map[string]bool{} // the (level, value) pairs played
+	type game struct {
+		kind string
+		play func(Engine) (bool, error)
+	}
+	values := map[string]bool{} // the (level, kind, value) triples played
 	var refLeaves, jumpLeaves int64
 	for i := 0; i < 160; i++ {
 		level := levels[i%len(levels)]
@@ -124,26 +160,52 @@ func TestGeneratedGamesMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := Reference()
-		ref.Counters = new(Counters)
-		want, err := arb.GameValueEngine(prep, domains, ref)
-		if err != nil {
-			t.Fatalf("%s %v %s reference: %v", name, level, arb.Machine.Name, err)
+		games := []game{{"exhaustive", func(e Engine) (bool, error) { return arb.GameValueEngine(prep, domains, e) }}}
+		if level.Alternations == 2 {
+			strategies := make([]Strategy, 2)
+			if level.FirstExistential {
+				k := make(cert.Assignment, n)
+				for u := range k {
+					k[u] = []string{"", "0", "1"}[eve.Intn(3)]
+				}
+				strategies[0] = func(*graph.Graph, graph.IDAssignment, []cert.Assignment) (cert.Assignment, error) { return k, nil }
+			} else {
+				strategies[1] = bestReply(arb.Machine, prep, domains[1])
+			}
+			games = append(games, game{"strategy", func(e Engine) (bool, error) { return arb.StrategyGameValueEngine(prep, strategies, domains, e) }})
 		}
-		values[fmt.Sprint(level, " ", want)] = true
-		for _, o := range engines {
-			got, err := arb.GameValueEngine(prep, domains, Engine{Opts: o})
-			if err != nil || got != want {
-				t.Errorf("%s %v %s under %+v: (%v, %v), reference %v", name, level, arb.Machine.Name, o, got, err, want)
+		var full bool // the exhaustive game's value
+		for _, gm := range games {
+			ref := Reference()
+			ref.Counters = new(Counters)
+			want, err := gm.play(ref)
+			if err != nil {
+				t.Fatalf("%s %v %s %s reference: %v", name, level, gm.kind, arb.Machine.Name, err)
+			}
+			values[fmt.Sprint(level, " ", gm.kind, " ", want)] = true
+			if gm.kind == "exhaustive" {
+				full = want
+			} else if want && !full || !level.FirstExistential && want != full {
+				t.Errorf("%s %v %s: strategy value %v, exhaustive %v", name, level, arb.Machine.Name, want, full)
+			}
+			for _, o := range engines {
+				got, err := gm.play(Engine{Opts: o})
+				if err != nil || got != want {
+					t.Errorf("%s %v %s %s under %+v: (%v, %v), reference %v", name, level, gm.kind, arb.Machine.Name, o, got, err, want)
+				}
+			}
+			// Backjumping is the only layer left that skips leaves; it
+			// never skips a strategy game's leaf, since the only walks
+			// there are Adam's, and a ∀ stops at its first reject.
+			jump := Engine{Opts: search.Sequential(), NoSymmetry: true, Counters: new(Counters)}
+			if got, err := gm.play(jump); err != nil || got != want {
+				t.Errorf("%s %v %s %s without symmetry: (%v, %v), reference %v", name, level, gm.kind, arb.Machine.Name, got, err, want)
+			}
+			if gm.kind == "exhaustive" {
+				refLeaves += ref.Counters.Leaves.Load()
+				jumpLeaves += jump.Counters.Leaves.Load()
 			}
 		}
-		// Backjumping is the only layer left that skips leaves.
-		jump := Engine{Opts: search.Sequential(), NoSymmetry: true, Counters: new(Counters)}
-		if got, err := arb.GameValueEngine(prep, domains, jump); err != nil || got != want {
-			t.Errorf("%s %v %s without symmetry: (%v, %v), reference %v", name, level, arb.Machine.Name, got, err, want)
-		}
-		refLeaves += ref.Counters.Leaves.Load()
-		jumpLeaves += jump.Counters.Leaves.Load()
 	}
 	// Half the reference leaves today; keeping the maximum instead of the
 	// minimum over rejecting nodes, which is sound but jumps less, visits
@@ -151,8 +213,9 @@ func TestGeneratedGamesMatchReference(t *testing.T) {
 	if 3*jumpLeaves >= 2*refLeaves {
 		t.Errorf("backjumping visited %d of the reference engine's %d leaves, want under two thirds", jumpLeaves, refLeaves)
 	}
-	// Both values of every level occur, so no level is trivially decided.
-	if len(values) != 2*len(levels) {
-		t.Errorf("generated games had only the (level, value) pairs %v", values)
+	// Both values of every level and kind occur, so none is trivially
+	// decided.
+	if len(values) != 2*(len(levels)+2) {
+		t.Errorf("generated games had only the (level, kind, value) triples %v", values)
 	}
 }

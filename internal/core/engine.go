@@ -8,10 +8,10 @@ import (
 
 // Engine configures one game evaluation: the search options of the
 // worker pool plus the optimization layers added on top of it. The zero
-// value of every knob selects the optimized default, so
-// Engine{Opts: o} reproduces GameValuePrepared's behavior; Reference()
-// turns every layer off and is the equivalence baseline the core parity
-// and property tests compare against.
+// value of every knob selects the optimized default, so Engine{Opts: o}
+// is what GameValueOpt and StrategyGameValueOpt run; Reference() turns
+// every layer off and is the equivalence baseline the core parity and
+// property tests compare against.
 //
 // Quantifier values are independent of visitation order and every layer
 // below is value-preserving (see DESIGN.md, "Game-engine optimization"),
@@ -23,11 +23,12 @@ type Engine struct {
 	// loop of the engine polls it, including the memo paths.
 	Opts search.Options
 
-	// Memo, when non-nil, memoizes subgame values at quantifier levels
-	// 1..memoMaxLevel under single-flight semantics, keyed by graph
-	// content, identifiers, machine name, level, domain shape, Salt, and
-	// move prefix. Machines with an empty Name are never memoized (the
-	// name stands in for the machine's semantics in the key; see Memo).
+	// Memo, when non-nil, memoizes whole-game values under single-flight
+	// semantics, keyed by graph content, identifiers, machine name,
+	// level, domain shape, Salt, and whether the game is exhaustive or
+	// strategy-guided (see evalSeed). No subgame below the whole game is
+	// stored. Machines with an empty Name are never memoized (the name
+	// stands in for the machine's semantics in the key; see Memo).
 	Memo *Memo
 
 	// Salt is mixed into every memo key. Callers memoizing

@@ -5,20 +5,17 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/cert"
 	"repro/internal/simulate"
 )
 
-// Memo is a transposition table for certificate-game values: subgame
+// Memo is a transposition table for certificate-game values: whole-game
 // results keyed by (graph, identifiers, machine, level, domains, salt,
-// quantifier prefix), shared across quantifier levels of one evaluation
-// and across evaluations — notably across the service layer's Prepared
-// cache, where repeated decide/verify requests on the same graph
-// short-circuit to a table lookup.
+// game kind; see evalSeed), shared across evaluations — notably across
+// the service layer's Prepared cache, where repeated decide/verify
+// requests on the same graph short-circuit to a table lookup.
 //
 // Lookups are single-flight: when a key is being computed, later callers
 // wait for that computation instead of duplicating it, honoring their own
@@ -176,20 +173,16 @@ func (m *Memo) evictOne() {
 	// rather than stall or drop live flights.
 }
 
-// memoMaxLevel bounds how deep into the quantifier prefix subgames are
-// memoized. Outer levels repeat across evaluations (the whole-game entry
-// is the warm-path hit) and across sibling branches; below level 2 the
-// key-construction cost outruns the leaf work being saved, and the
-// number of distinct prefixes explodes combinatorially.
-const memoMaxLevel = 2
-
-// evalSeed fingerprints everything a memo key must pin besides the
-// quantifier prefix: graph content (via the collision-resistant
+// evalSeed fingerprints everything a game's value depends on, and is
+// the game's memo key: graph content (via the collision-resistant
 // graph.Hash), identifier assignment, machine name, level, the per-node
-// option counts of every quantifier domain, and the caller's salt. An
-// empty machine name returns "" — no fingerprint, no memoization.
-func evalSeed(a *Arbiter, prep *simulate.Prepared, enums []*cert.Enum, salt string) string {
-	if a.Machine == nil || a.Machine.Name == "" {
+// option counts of every quantifier domain, the caller's salt, and the
+// game kind, so an exhaustive game and a strategy-guided one on the same
+// inputs never share an entry. An empty machine name returns "" — no
+// fingerprint, no memoization — and so does a strategy-guided game with
+// an empty salt, since nothing in the key then names its strategies.
+func evalSeed(a *Arbiter, prep *simulate.Prepared, enums []*cert.Enum, salt string, strategic bool) string {
+	if a.Machine == nil || a.Machine.Name == "" || strategic && salt == "" {
 		return ""
 	}
 	h := sha256.New()
@@ -216,6 +209,11 @@ func evalSeed(a *Arbiter, prep *simulate.Prepared, enums []*cert.Enum, salt stri
 		writeInt(0)
 	}
 	writeStr(salt)
+	if strategic {
+		h.Write([]byte{'s'})
+	} else {
+		h.Write([]byte{'x'})
+	}
 	writeInt(len(enums))
 	for _, e := range enums {
 		writeInt(e.Len())
@@ -224,33 +222,4 @@ func evalSeed(a *Arbiter, prep *simulate.Prepared, enums []*cert.Enum, salt stri
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// subkey derives the table key of the subgame rooted at quantifier
-// level i under the given move prefix (prefix[j] is move j+1, fully
-// decoded). The encoding is injective given the seed: the seed pins the
-// node count and level structure, certificates are bit strings over
-// {0,1}, and ',' terminates each node's string, so distinct prefixes
-// render distinct keys. FuzzMemoKey exercises this cross-graph.
-func subkey(seed string, i int, prefix []cert.Assignment) string {
-	var b strings.Builder
-	size := len(seed) + 4
-	for _, a := range prefix {
-		for _, s := range a {
-			size += len(s) + 1
-		}
-		size++
-	}
-	b.Grow(size)
-	b.WriteString(seed)
-	b.WriteByte('/')
-	b.WriteString(strconv.Itoa(i))
-	for _, a := range prefix {
-		b.WriteByte('/')
-		for _, s := range a {
-			b.WriteString(s)
-			b.WriteByte(',')
-		}
-	}
-	return b.String()
 }

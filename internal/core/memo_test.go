@@ -262,22 +262,62 @@ func maskGraph(n uint8, edges uint16) *graph.Graph {
 	return g
 }
 
+// TestMemoKeysSeparateGameKinds shares one table between an exhaustive
+// game and a strategy-guided game on the same arbiter, domains and Salt:
+// Eve wins the exhaustive Σ1 game by matching every label, and loses
+// with a strategy that plays the empty certificate everywhere. In
+// either order, each game must return its unmemoized value, so the
+// game-kind byte of the key keeps one from answering the other.
+func TestMemoKeysSeparateGameKinds(t *testing.T) {
+	t.Parallel()
+	g := graph.Path(4).MustWithLabels([]string{"0", "1", "1", "0"})
+	prep, err := simulate.Prepare(g, graph.GloballyUnique(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arb := certEqualsLabel(Sigma(1))
+	domains := []cert.Domain{cert.UniformDomain(4, 1)}
+	empty := []Strategy{func(g *graph.Graph, _ graph.IDAssignment, _ []cert.Assignment) (cert.Assignment, error) {
+		return make(cert.Assignment, g.N()), nil
+	}}
+	games := []struct {
+		name string
+		want bool
+		play func(Engine) (bool, error)
+	}{
+		{"exhaustive", true, func(e Engine) (bool, error) { return arb.GameValueEngine(prep, domains, e) }},
+		{"strategy", false, func(e Engine) (bool, error) { return arb.StrategyGameValueEngine(prep, empty, domains, e) }},
+	}
+	for _, order := range [][]int{{0, 1}, {1, 0}} {
+		memo := NewMemo(0)
+		for _, j := range order {
+			for _, e := range []Engine{{Opts: search.Sequential()}, {Opts: search.Sequential(), Memo: memo, Salt: "t"}} {
+				if got, err := games[j].play(e); err != nil || got != games[j].want {
+					t.Fatalf("%s game, memo %v: (%v, %v), want %v", games[j].name, e.Memo != nil, got, err, games[j].want)
+				}
+			}
+		}
+		if st := memo.Stats(); st.Size != 2 || st.Hits != 0 {
+			t.Fatalf("stats %+v: want 2 entries and no hits", st)
+		}
+	}
+}
+
 // FuzzMemoKey fuzzes the memo key derivation across pairs of (graph,
-// prefix choice) inputs: equal keys must imply identical graphs and
-// identical decoded prefixes. A violation would let one graph's cached
-// verdict answer another graph's game — the exact corruption the
-// SHA-256 seed plus the separator encoding of subkey rule out.
+// game kind) inputs: equal seeds must imply identical graphs and the
+// same kind. A violation would let one graph's cached verdict answer
+// another graph's game — the exact corruption the SHA-256 seed rules
+// out.
 func FuzzMemoKey(f *testing.F) {
-	f.Add(uint8(1), uint16(0b011), uint8(2), uint16(0b111), uint16(0), uint16(1))
-	f.Add(uint8(2), uint16(0b101), uint8(2), uint16(0b101), uint16(3), uint16(3))
-	f.Fuzz(func(t *testing.T, n1 uint8, e1 uint16, n2 uint8, e2 uint16, c1, c2 uint16) {
+	f.Add(uint8(1), uint16(0b011), false, uint8(2), uint16(0b111), false)
+	f.Add(uint8(2), uint16(0b101), false, uint8(2), uint16(0b101), true)
+	f.Fuzz(func(t *testing.T, n1 uint8, e1 uint16, s1 bool, n2 uint8, e2 uint16, s2 bool) {
 		g1, g2 := maskGraph(n1, e1), maskGraph(n2, e2)
 		if g1 == nil || g2 == nil {
 			t.Skip()
 		}
-		key := func(g *graph.Graph, choice uint16) (string, string) {
-			id := graph.SmallLocallyUnique(g, 1)
-			prep, err := simulate.Prepare(g, id)
+		seed := func(g *graph.Graph, strategic bool) string {
+			prep, err := simulate.Prepare(g, graph.SmallLocallyUnique(g, 1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -287,33 +327,21 @@ func FuzzMemoKey(f *testing.F) {
 				cert.UniformDomain(g.N(), 1).Enum(),
 				cert.UniformDomain(g.N(), 1).Enum(),
 			}
-			seed := evalSeed(arb, prep, enums, "fuzz")
-			if seed == "" {
+			s := evalSeed(arb, prep, enums, "fuzz", strategic)
+			if s == "" {
 				t.Fatal("named machine produced no seed")
 			}
-			// Decode the fuzzed choice into a level-1 move.
-			e := enums[0]
-			choices := make([]int, e.Len())
-			rem := int(choice)
-			for u := e.Len() - 1; u >= 0; u-- {
-				choices[u] = rem % e.NumOptions(u)
-				rem /= e.NumOptions(u)
-			}
-			move := make(cert.Assignment, e.Len())
-			e.Decode(choices, move)
-			return subkey(seed, 2, []cert.Assignment{move}), fmt.Sprint(move)
+			return s
 		}
-		k1, m1 := key(g1, c1)
-		k2, m2 := key(g2, c2)
+		k1, k2 := seed(g1, s1), seed(g2, s2)
 		if k1 != k2 {
 			return
 		}
-		// Equal keys: the graphs must be byte-identical and the moves equal.
 		if g1.N() != g2.N() || g1.Hash() != g2.Hash() {
 			t.Fatalf("cross-graph key collision: %q for n=%d/%d", k1, g1.N(), g2.N())
 		}
-		if m1 != m2 {
-			t.Fatalf("same-graph prefix collision: %q for moves %s vs %s", k1, m1, m2)
+		if s1 != s2 {
+			t.Fatalf("cross-kind key collision: %q", k1)
 		}
 	})
 }

@@ -93,12 +93,15 @@ func TestPooledLeafPrefixIsolation(t *testing.T) {
 	}
 }
 
-// TestGameAllocsFlatInLeaves pins the buffer reuse of exhaustive games:
+// TestGameAllocsFlatInLeaves pins the buffer reuse of game evaluation:
 // a fan-out worker and the top-level call each make their buffers once,
 // so with a machine that allocates nothing the allocation count of one
 // evaluation depends on the worker count, not on how many leaves the
-// game visits (3^4 and 3^6 here, all of them, since the Π1 game holds).
-// Not parallel: AllocsPerRun counts the whole process's allocations.
+// game visits (3^4 and 3^6 here, all of them, since Adam's ∀ holds).
+// That holds for an exhaustive Π1 game and for a strategy-guided Π2
+// game, whose one-choice strategy level plays Eve's constant reply
+// below Adam's fanned-out level. Not parallel: AllocsPerRun counts the
+// whole process's allocations.
 func TestGameAllocsFlatInLeaves(t *testing.T) {
 	accept := &simulate.Machine{
 		Name:   "test:accept-no-alloc",
@@ -106,24 +109,38 @@ func TestGameAllocsFlatInLeaves(t *testing.T) {
 		Round:  func(any, int, []string) ([]string, bool) { return nil, true },
 		Output: func(any) string { return "1" },
 	}
-	allocs := func(n int) float64 {
+	eng := Engine{Opts: search.Parallel(2)}
+	allocs := func(n int, strategic bool) float64 {
 		g := graph.Path(n)
 		prep, err := simulate.Prepare(g, graph.GloballyUnique(g))
 		if err != nil {
 			t.Fatal(err)
 		}
-		arb := &Arbiter{Machine: accept, Level: Pi(1), RadiusID: 1}
-		domains := []cert.Domain{cert.UniformDomain(n, 1)}
-		eng := Engine{Opts: search.Parallel(2)}
+		adam := cert.UniformDomain(n, 1)
+		var play func() (bool, error)
+		if strategic {
+			arb := &Arbiter{Machine: accept, Level: Pi(2), RadiusID: 1}
+			reply := make(cert.Assignment, n)
+			strategies := []Strategy{nil, func(*graph.Graph, graph.IDAssignment, []cert.Assignment) (cert.Assignment, error) {
+				return reply, nil
+			}}
+			domains := []cert.Domain{adam, {}}
+			play = func() (bool, error) { return arb.StrategyGameValueEngine(prep, strategies, domains, eng) }
+		} else {
+			arb := &Arbiter{Machine: accept, Level: Pi(1), RadiusID: 1}
+			domains := []cert.Domain{adam}
+			play = func() (bool, error) { return arb.GameValueEngine(prep, domains, eng) }
+		}
 		return testing.AllocsPerRun(20, func() {
-			if ok, err := arb.GameValueEngine(prep, domains, eng); err != nil || !ok {
-				t.Fatalf("Π1 accept-all game on P%d: (%v, %v), want (true, nil)", n, ok, err)
+			if ok, err := play(); err != nil || !ok {
+				t.Fatalf("accept-all game on P%d (strategic %v): (%v, %v), want (true, nil)", n, strategic, ok, err)
 			}
 		})
 	}
-	small, large := allocs(4), allocs(6)
-	if small != large {
-		t.Fatalf("one evaluation allocates %v times over 81 leaves but %v times over 729", small, large)
+	for _, strategic := range []bool{false, true} {
+		if small, large := allocs(4, strategic), allocs(6, strategic); small != large {
+			t.Errorf("strategic %v: one evaluation allocates %v times over 81 leaves but %v times over 729", strategic, small, large)
+		}
 	}
 }
 
@@ -171,40 +188,62 @@ func neighbourMatcher() *simulate.Machine {
 // nodes an evaluation starts does not depend on scheduling. A fan-out
 // worker drops its leaf trace at the start of every prefix it claims,
 // so its work on a prefix is the same whichever prefixes it ran before.
-// The outer ∀ of the game holds, so every evaluation visits the whole
-// fanned-out level.
+// The outer ∀ of each game holds, so every evaluation visits the whole
+// fanned-out level: the exhaustive ∀κ1 ∃κ2 game on P4, and the same
+// game with Eve's level cut down to her winning strategy κ2 = κ1 on P5,
+// where each prefix a worker claims still holds several leaves.
 func TestNodeRunsDeterministic(t *testing.T) {
 	t.Parallel()
-	g := graph.Path(4)
-	prep, err := simulate.Prepare(g, graph.GloballyUnique(g))
-	if err != nil {
-		t.Fatal(err)
+	prepare := func(n int) *simulate.Prepared {
+		g := graph.Path(n)
+		prep, err := simulate.Prepare(g, graph.GloballyUnique(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prep
 	}
+	p4, p5 := prepare(4), prepare(5)
 	arb := &Arbiter{Machine: neighbourMatcher(), Level: Pi(2), RadiusID: 1}
-	domains := []cert.Domain{cert.UniformDomain(4, 1), cert.UniformDomain(4, 1)}
-	for _, o := range []search.Options{
-		search.Parallel(2),
-		search.Parallel(4),
-		{Workers: 2, SplitDepth: 2},
-		{Workers: 4, SplitDepth: 2},
-	} {
-		var leaves, runs int64
-		for i := 0; i < 20; i++ {
-			c := new(Counters)
-			ok, err := arb.GameValueEngine(prep, domains, Engine{Opts: o, Counters: c})
-			if err != nil || !ok {
-				t.Fatalf("%+v: ∀κ1 ∃κ2=κ1 game: (%v, %v), want (true, nil)", o, ok, err)
-			}
-			if i == 0 {
-				leaves, runs = c.Leaves.Load(), c.NodeRuns.Load()
-				if runs >= leaves*int64(g.N()) {
-					t.Errorf("%+v: %d leaves started %d nodes, want fewer than leaves × n", o, leaves, runs)
+	copyKappa1 := []Strategy{nil, func(_ *graph.Graph, _ graph.IDAssignment, moves []cert.Assignment) (cert.Assignment, error) {
+		return append(cert.Assignment(nil), moves[0]...), nil
+	}}
+	games := []struct {
+		name string
+		n    int
+		play func(Engine) (bool, error)
+	}{
+		{"exhaustive", 4, func(e Engine) (bool, error) {
+			return arb.GameValueEngine(p4, []cert.Domain{cert.UniformDomain(4, 1), cert.UniformDomain(4, 1)}, e)
+		}},
+		{"strategy", 5, func(e Engine) (bool, error) {
+			return arb.StrategyGameValueEngine(p5, copyKappa1, []cert.Domain{cert.UniformDomain(5, 1), {}}, e)
+		}},
+	}
+	for _, game := range games {
+		for _, o := range []search.Options{
+			search.Parallel(2),
+			search.Parallel(4),
+			{Workers: 2, SplitDepth: 2},
+			{Workers: 4, SplitDepth: 2},
+		} {
+			var leaves, runs int64
+			for i := 0; i < 20; i++ {
+				c := new(Counters)
+				ok, err := game.play(Engine{Opts: o, Counters: c})
+				if err != nil || !ok {
+					t.Fatalf("%s %+v: ∀κ1 ∃κ2=κ1 game: (%v, %v), want (true, nil)", game.name, o, ok, err)
 				}
-				continue
-			}
-			if c.Leaves.Load() != leaves || c.NodeRuns.Load() != runs {
-				t.Fatalf("%+v, evaluation %d: %d leaves and %d node runs, the first had %d and %d",
-					o, i, c.Leaves.Load(), c.NodeRuns.Load(), leaves, runs)
+				if i == 0 {
+					leaves, runs = c.Leaves.Load(), c.NodeRuns.Load()
+					if runs >= leaves*int64(game.n) {
+						t.Errorf("%s %+v: %d leaves started %d nodes, want fewer than leaves × n", game.name, o, leaves, runs)
+					}
+					continue
+				}
+				if c.Leaves.Load() != leaves || c.NodeRuns.Load() != runs {
+					t.Fatalf("%s %+v, evaluation %d: %d leaves and %d node runs, the first had %d and %d",
+						game.name, o, i, c.Leaves.Load(), c.NodeRuns.Load(), leaves, runs)
+				}
 			}
 		}
 	}

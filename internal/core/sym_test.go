@@ -74,7 +74,7 @@ func TestSymmetryRequiresDistinctNeighborIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	arb := &Arbiter{Machine: acceptor(), Level: Pi(1), RadiusID: 1}
-	ev := newGameEval(arb, prep, []cert.Domain{cert.UniformDomain(4, 1)}, Engine{Opts: search.Sequential()}, false)
+	ev := newGameEval(arb, prep, []cert.Domain{cert.UniformDomain(4, 1)}, Engine{Opts: search.Sequential()}, nil)
 	if len(ev.auts) != 0 || len(ev.autInv) != 0 {
 		t.Fatalf("ambiguous neighborhood ids still collected %d automorphisms", len(ev.auts))
 	}
@@ -86,7 +86,7 @@ func TestSymmetryRequiresDistinctNeighborIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev2 := newGameEval(arb, prep2, []cert.Domain{cert.UniformDomain(6, 1)}, Engine{Opts: search.Sequential()}, false)
+	ev2 := newGameEval(arb, prep2, []cert.Domain{cert.UniformDomain(6, 1)}, Engine{Opts: search.Sequential()}, nil)
 	if len(ev2.auts) == 0 {
 		t.Fatal("period-3 C6 collected no automorphisms")
 	}
@@ -104,7 +104,7 @@ func TestSymmetryNeverPrunesStrategyGames(t *testing.T) {
 		t.Fatal(err)
 	}
 	arb := &Arbiter{Machine: acceptor(), Level: Pi(1), RadiusID: 1}
-	ev := newGameEval(arb, prep, []cert.Domain{cert.UniformDomain(4, 1)}, Engine{Opts: search.Sequential()}, true)
+	ev := newGameEval(arb, prep, []cert.Domain{cert.UniformDomain(4, 1)}, Engine{Opts: search.Sequential()}, []Strategy{nil})
 	if len(ev.auts) != 0 {
 		t.Fatalf("strategic evaluation collected %d automorphisms, want 0", len(ev.auts))
 	}
