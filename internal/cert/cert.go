@@ -252,6 +252,16 @@ func (e *Enum) Decode(choices []int, into Assignment) {
 	}
 }
 
+// DecodeOrdered is Decode for a walk over the nodes in the given
+// order: position p of the walk is node order[p], whose options
+// choices[p] selects from. Every node of order is overwritten.
+func (e *Enum) DecodeOrdered(choices []int, order []int32, into Assignment) {
+	for p, c := range choices {
+		u := order[p]
+		into[u] = e.options[u][c]
+	}
+}
+
 // Space is shorthand for Enum().Space(); callers that also decode should
 // compile the Enum once instead.
 func (d Domain) Space() search.Space { return d.Enum().Space() }

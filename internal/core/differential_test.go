@@ -194,9 +194,9 @@ func TestGeneratedGamesMatchReference(t *testing.T) {
 					t.Errorf("%s %v %s %s under %+v: (%v, %v), reference %v", name, level, gm.kind, arb.Machine.Name, o, got, err, want)
 				}
 			}
-			// Backjumping is the only layer left that skips leaves; it
-			// never skips a strategy game's leaf, since the only walks
-			// there are Adam's, and a ∀ stops at its first reject.
+			// Backjumping and the per-node walks of an innermost ∀ are
+			// the only layers left that skip leaves; only the latter
+			// skips a strategy game's leaf, below Eve's reply in Σ2.
 			jump := Engine{Opts: search.Sequential(), NoSymmetry: true, Counters: new(Counters)}
 			if got, err := gm.play(jump); err != nil || got != want {
 				t.Errorf("%s %v %s %s without symmetry: (%v, %v), reference %v", name, level, gm.kind, arb.Machine.Name, got, err, want)

@@ -44,7 +44,9 @@ type Engine struct {
 	NoSymmetry bool
 
 	// NoPool disables pooled leaf execution (simulate.RunAccepted) and
-	// runs every leaf through the allocating simulate.Prepared.Run path.
+	// runs every leaf through the allocating simulate.Prepared.Run path,
+	// which reports no keep, so the walks neither backjump nor split an
+	// innermost universal level per node.
 	NoPool bool
 
 	// Counters, when non-nil, receives the evaluation's work tally. It
@@ -65,7 +67,8 @@ type Counters struct {
 }
 
 // Reference returns the unoptimized engine: single-threaded search, no
-// memo, no symmetry pruning, no buffer pooling (so no backjumping).
+// memo, no symmetry pruning, no buffer pooling (so no backjumping and
+// no per-node walks).
 // It is the trusted baseline every optimization layer is
 // equivalence-tested against — in the ProCoS sense, the specification
 // the optimized engine must provably refine.

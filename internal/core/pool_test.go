@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -97,20 +98,27 @@ func TestPooledLeafPrefixIsolation(t *testing.T) {
 // a fan-out worker and the top-level call each make their buffers once,
 // so with a machine that allocates nothing the allocation count of one
 // evaluation depends on the worker count, not on how many leaves the
-// game visits (3^4 and 3^6 here, all of them, since Adam's ∀ holds).
-// That holds for an exhaustive Π1 game and for a strategy-guided Π2
-// game, whose one-choice strategy level plays Eve's constant reply
-// below Adam's fanned-out level. Not parallel: AllocsPerRun counts the
-// whole process's allocations.
+// game visits. Three games on P4 and P6 check it, all of them true:
+//   - "split": an exhaustive Π1 game whose one-round machine lets the
+//     per-node walks visit 3 leaves per node, 12 and 18;
+//   - "plain": the same game with a machine that halts in round 6, so
+//     the first leaf's ball holds every node and the level falls back
+//     to one walk of 3^4 and 3^6 leaves, fanned out over the pool;
+//   - "strategy": a strategy-guided Π2 game, whose one-choice strategy
+//     level plays Eve's constant reply below Adam's fanned-out level.
+//
+// Not parallel: AllocsPerRun counts the whole process's allocations.
 func TestGameAllocsFlatInLeaves(t *testing.T) {
-	accept := &simulate.Machine{
-		Name:   "test:accept-no-alloc",
-		Init:   func(in simulate.Input) any { return len(in.Certs) == 1 },
-		Round:  func(any, int, []string) ([]string, bool) { return nil, true },
-		Output: func(any) string { return "1" },
+	acceptIn := func(rounds int) *simulate.Machine {
+		return &simulate.Machine{
+			Name:   fmt.Sprintf("test:accept-no-alloc-%d", rounds),
+			Init:   func(in simulate.Input) any { return len(in.Certs) == 1 },
+			Round:  func(_ any, round int, _ []string) ([]string, bool) { return nil, round >= rounds },
+			Output: func(any) string { return "1" },
+		}
 	}
 	eng := Engine{Opts: search.Parallel(2)}
-	allocs := func(n int, strategic bool) float64 {
+	allocs := func(n int, game string) float64 {
 		g := graph.Path(n)
 		prep, err := simulate.Prepare(g, graph.GloballyUnique(g))
 		if err != nil {
@@ -118,28 +126,30 @@ func TestGameAllocsFlatInLeaves(t *testing.T) {
 		}
 		adam := cert.UniformDomain(n, 1)
 		var play func() (bool, error)
-		if strategic {
-			arb := &Arbiter{Machine: accept, Level: Pi(2), RadiusID: 1}
+		switch game {
+		case "strategy":
+			arb := &Arbiter{Machine: acceptIn(1), Level: Pi(2), RadiusID: 1}
 			reply := make(cert.Assignment, n)
 			strategies := []Strategy{nil, func(*graph.Graph, graph.IDAssignment, []cert.Assignment) (cert.Assignment, error) {
 				return reply, nil
 			}}
 			domains := []cert.Domain{adam, {}}
 			play = func() (bool, error) { return arb.StrategyGameValueEngine(prep, strategies, domains, eng) }
-		} else {
-			arb := &Arbiter{Machine: accept, Level: Pi(1), RadiusID: 1}
+		default:
+			rounds := map[string]int{"split": 1, "plain": 6}[game]
+			arb := &Arbiter{Machine: acceptIn(rounds), Level: Pi(1), RadiusID: 1}
 			domains := []cert.Domain{adam}
 			play = func() (bool, error) { return arb.GameValueEngine(prep, domains, eng) }
 		}
 		return testing.AllocsPerRun(20, func() {
 			if ok, err := play(); err != nil || !ok {
-				t.Fatalf("accept-all game on P%d (strategic %v): (%v, %v), want (true, nil)", n, strategic, ok, err)
+				t.Fatalf("accept-all %s game on P%d: (%v, %v), want (true, nil)", game, n, ok, err)
 			}
 		})
 	}
-	for _, strategic := range []bool{false, true} {
-		if small, large := allocs(4, strategic), allocs(6, strategic); small != large {
-			t.Errorf("strategic %v: one evaluation allocates %v times over 81 leaves but %v times over 729", strategic, small, large)
+	for _, game := range []string{"split", "plain", "strategy"} {
+		if small, large := allocs(4, game), allocs(6, game); small != large {
+			t.Errorf("%s game: one evaluation allocates %v times on P4 but %v times on P6", game, small, large)
 		}
 	}
 }

@@ -9,9 +9,7 @@ import (
 	"repro/internal/simulate"
 )
 
-// acceptor accepts everywhere in one round. All-accepting keeps a
-// universal game from early-exiting, so the leaves it visits are the
-// whole enumeration.
+// acceptor accepts everywhere in one round.
 func acceptor() *simulate.Machine {
 	return &simulate.Machine{
 		Name:   "test:acceptor",
@@ -21,14 +19,34 @@ func acceptor() *simulate.Machine {
 	}
 }
 
+// rejectsOne accepts at a node iff its last certificate is not "1",
+// in one round.
+func rejectsOne() *simulate.Machine {
+	return &simulate.Machine{
+		Name:  "test:rejects-one",
+		Init:  func(in simulate.Input) any { return in.Certs[len(in.Certs)-1] != "1" },
+		Round: func(any, int, []string) ([]string, bool) { return nil, true },
+		Output: func(s any) string {
+			if s.(bool) {
+				return "1"
+			}
+			return "0"
+		},
+	}
+}
+
 // TestSymmetryPrunes demonstrates the pruning layer actually skipping
 // work on an instance with usable symmetry: C6 with period-3
 // identifiers admits exactly the rotation by 3, so of the 3^6 = 729
-// outer choice vectors only the 27 rotation-fixed ones lack a partner
-// and enumeration shrinks to (729+27)/2 = 378 leaves. The engine's
-// counters tally the leaves; incremental leaves restart fewer than n
-// nodes per leaf on average, since consecutive leaves mostly differ in
-// one certificate.
+// choices of Eve's outer move in a Σ2 game only the 27 rotation-fixed
+// ones lack a partner, and the outer level shrinks to (729+27)/2 = 378
+// choices. Adam refutes every one of them (κ2 = "1" anywhere rejects),
+// so the game is false and the outer level runs to exhaustion. Below
+// each outer choice, Adam's innermost ∀ is walked per node (see
+// splitLevel), and node 0's walk meets its counterexample on its third
+// leaf: 3 leaves per outer choice. The engine's counters tally the
+// leaves; incremental leaves restart fewer than n nodes per leaf on
+// average, since consecutive leaves mostly differ in one certificate.
 func TestSymmetryPrunes(t *testing.T) {
 	t.Parallel()
 	g := graph.Cycle(6)
@@ -37,13 +55,13 @@ func TestSymmetryPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	domains := []cert.Domain{cert.UniformDomain(6, 1)}
+	domains := []cert.Domain{cert.UniformDomain(6, 1), cert.UniformDomain(6, 1)}
 	leaves := func(eng Engine) int64 {
 		eng.Counters = new(Counters)
-		arb := &Arbiter{Machine: acceptor(), Level: Pi(1), RadiusID: 1}
+		arb := &Arbiter{Machine: rejectsOne(), Level: Sigma(2), RadiusID: 1}
 		ok, err := arb.GameValueEngine(prep, domains, eng)
-		if err != nil || !ok {
-			t.Fatalf("all-accepting Π1 game: (%v, %v), want (true, nil)", ok, err)
+		if err != nil || ok {
+			t.Fatalf("Σ2 game Adam refutes: (%v, %v), want (false, nil)", ok, err)
 		}
 		l, runs := eng.Counters.Leaves.Load(), eng.Counters.NodeRuns.Load()
 		if runs >= l*int64(g.N()) {
@@ -53,11 +71,11 @@ func TestSymmetryPrunes(t *testing.T) {
 	}
 	full := leaves(Engine{Opts: search.Sequential(), NoSymmetry: true})
 	pruned := leaves(Engine{Opts: search.Sequential()})
-	if full != 729 {
-		t.Fatalf("unpruned enumeration ran %d leaves, want 3^6 = 729", full)
+	if full != 3*729 {
+		t.Fatalf("unpruned enumeration ran %d leaves, want 3 for each of 3^6 = 729 outer choices", full)
 	}
-	if pruned != 378 {
-		t.Fatalf("pruned enumeration ran %d leaves, want 378 orbit representatives", pruned)
+	if pruned != 3*378 {
+		t.Fatalf("pruned enumeration ran %d leaves, want 3 for each of 378 orbit representatives", pruned)
 	}
 }
 

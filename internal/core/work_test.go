@@ -64,13 +64,15 @@ func TestGamesColdWork(t *testing.T) {
 		want workCounts
 	}{
 		{"default sequential", core.Engine{Opts: seq}, true,
-			workCounts{{1539, 2093}, {378, 579}, {6579, 10083}, {13, 35}, {16807, 84035}}},
+			workCounts{{1539, 2093}, {18, 48}, {27, 99}, {13, 35}, {16807, 84035}}},
 		{"default Parallel(2)", core.Engine{Opts: search.Parallel(2)}, true,
-			workCounts{{1539, 2187}, {378, 729}, {6579, 10279}, {81, 567}, {16807, 84035}}},
+			workCounts{{1539, 2187}, {18, 48}, {27, 99}, {81, 567}, {16807, 84035}}},
 		{"no memo", core.Engine{Opts: seq}, false,
-			workCounts{{1539, 2093}, {378, 579}, {6579, 10083}, {13, 35}, {16807, 84035}}},
+			workCounts{{1539, 2093}, {18, 48}, {27, 99}, {13, 35}, {16807, 84035}}},
+		// Equal to the default row: the split walks of C6 and C9 leave
+		// symmetry pruning nothing to skip.
 		{"no symmetry", core.Engine{Opts: seq, NoSymmetry: true}, true,
-			workCounts{{1539, 2093}, {729, 1092}, {19683, 29523}, {13, 35}, {16807, 84035}}},
+			workCounts{{1539, 2093}, {18, 48}, {27, 99}, {13, 35}, {16807, 84035}}},
 		{"no pooled leaves (no incremental runs, no backjumping)", core.Engine{Opts: seq, NoPool: true}, true,
 			workCounts{{25839, 129195}, {378, 2268}, {6579, 59211}, {2187, 15309}, {16807, 84035}}},
 	}
@@ -98,10 +100,34 @@ func TestGamesColdWork(t *testing.T) {
 	}
 }
 
+// BenchmarkGamesColdGames times each game of the benchmark's games-cold
+// rotation cold, as the benchmark plays it: a fresh memo per
+// evaluation on a shared Prepared instance, under the sequential
+// engine and under the default one (a pool of all CPUs), so each
+// game's pair shows what fanning out costs or saves on it.
+func BenchmarkGamesColdGames(b *testing.B) {
+	engines := []struct {
+		name string
+		opts search.Options
+	}{{"sequential", search.Sequential()}, {"default", search.Default()}}
+	for _, in := range workInstances(b) {
+		for _, e := range engines {
+			b.Run(in.name+"/"+e.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					eng := core.Engine{Opts: e.opts, Memo: core.NewMemo(0)}
+					if _, err := in.arb.GameValueEngine(in.prep, in.domains, eng); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // workInstances are the games of the benchmark's games-cold rotation,
 // rebuilt here: each outer level runs to exhaustion, so every count is
 // a fixed number.
-func workInstances(t *testing.T) []workInstance {
+func workInstances(t testing.TB) []workInstance {
 	parity := bitMachine("bench:triple-parity", func(label string, c []string) bool {
 		return len(c) == 3 && bitOf(c[0])^bitOf(c[1])^bitOf(c[2])^label[0] == 0
 	})

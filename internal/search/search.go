@@ -138,7 +138,14 @@ func ForEach(s Space, yield func([]int) bool) bool {
 // keep of Len or more skips nothing, and a keep of 0 ends the walk. It
 // reports whether the walk ran to the end, skips included.
 func ForEachPruned(s Space, yield func([]int) (bool, int)) bool {
-	return walk(s, 0, make([]int, s.Len), yield)
+	return ForEachPrunedOn(s, make([]int, s.Len), yield)
+}
+
+// ForEachPrunedOn is ForEachPruned with the walk's cursor in the
+// caller's buffer cur (len(cur) ≥ s.Len), so repeated walks allocate
+// nothing.
+func ForEachPrunedOn(s Space, cur []int, yield func([]int) (bool, int)) bool {
+	return walk(s, 0, cur[:s.Len], yield)
 }
 
 // walk is ForEachPruned over the assignments that agree with cur on

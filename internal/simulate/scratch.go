@@ -8,11 +8,10 @@ import "fmt"
 // instance across thousands of leaves — neither pay one
 // slice-allocation storm per leaf nor rerun every node on every leaf. A
 // Scratch belongs to one execution at a time: internal/core makes one
-// per sequential context of an exhaustive game (the top-level call or
-// one fan-out worker) and checks one out of a pool per strategy-game
-// leaf. All of its storage is made in one piece per field, by
-// NewScratch or when a run needs more rounds than any run before it, so
-// a run allocates nothing per node.
+// per sequential context of a game, exhaustive or strategy-guided (the
+// top-level call or one fan-out worker). All of its storage is made in
+// one piece per field, by NewScratch or when a run needs more rounds
+// than any run before it, so a run allocates nothing per node.
 type Scratch struct {
 	states []any
 	recv   []string // one max-degree buffer shared by all nodes of a round
@@ -33,12 +32,16 @@ type Scratch struct {
 	from  []int
 	slots int
 	used  int
-	halt  []int  // halt[u]: the round node u halted in
 	ok    []bool // ok[u]: node u's verdict is "1"
+
+	// done[u] is the round node u halted in, in the last run that ran
+	// it (0: still running). A node a run skips halts when it did in the
+	// trace's run, and a run after a dense one or an error runs every
+	// node, so done is the trace's halting rounds too.
+	done []int
 
 	// Per-run node state.
 	live  []bool // u runs in this run; otherwise its trace entries stand
-	done  []int  // the round a live node halted in this run (0: running)
 	touch []int  // the first round u receives a message the trace does not hold (0: none)
 
 	diam     int
@@ -54,7 +57,6 @@ func (p *Prepared) NewScratch() *Scratch {
 		states: make([]any, n),
 		certs:  make([][]string, n),
 		off:    make([]int, n+1),
-		halt:   make([]int, n),
 		ok:     make([]bool, n),
 		live:   make([]bool, n),
 		done:   make([]int, n),
@@ -101,7 +103,19 @@ func (sc *Scratch) NodeRuns() int64 { return sc.nodeRuns }
 // node's ball alone. For an accept, k is the maximum of that over all
 // nodes, which node n−1's own ball makes the node count n; so is k
 // after an error.
+//
+// An accept fixes more per node: node u's verdict, and its halting
+// round h (see Halt), depend only on the certificates in its ball
+// B(u, h−1), which is the prefix of length Prepared.BallSize(u, h−1)
+// of u's Prepared.BallOrder. internal/core walks the innermost
+// universal level once per node in that order and keeps that prefix
+// for u alone. When u's ball holds every node, the per-node walk can
+// skip nothing, and core walks the level once over all nodes instead.
 func (sc *Scratch) Keep() int { return sc.keep }
+
+// Halt returns the round node u halted in during the last RunAccepted
+// on sc, which must have returned without an error.
+func (sc *Scratch) Halt(u int) int { return sc.done[u] }
 
 // ball returns 1 + the largest node index within distance halt−1 of u,
 // for a node u that halted in round halt.
@@ -179,8 +193,8 @@ func (p *Prepared) RunAccepted(m *Machine, certs [][]string, maxRounds int, sc *
 		allHalted := true
 		for u := 0; u < n; u++ {
 			if !sc.live[u] {
-				if sc.touch[u] != r || r > sc.halt[u] {
-					if r < sc.halt[u] {
+				if sc.touch[u] != r || r > sc.done[u] {
+					if r < sc.done[u] {
 						allHalted = false
 					}
 					continue
@@ -240,12 +254,11 @@ func (p *Prepared) RunAccepted(m *Machine, certs [][]string, maxRounds int, sc *
 	accepted := true
 	for u := 0; u < n; u++ {
 		if sc.live[u] {
-			sc.halt[u] = sc.done[u]
 			sc.ok[u] = m.Output(sc.states[u]) == "1"
 		}
 		if !sc.ok[u] {
 			accepted = false
-			sc.keep = min(sc.keep, sc.ball(u, sc.halt[u]))
+			sc.keep = min(sc.keep, sc.ball(u, sc.done[u]))
 		}
 	}
 	sc.valid = true
