@@ -24,8 +24,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cert"
 	"repro/internal/graph"
@@ -368,18 +368,20 @@ func (ev *gameEval) eval(c *seqContext, i int, e Engine, par bool) (bool, int, e
 // level backjumps: after a leaf whose value does not decide the
 // quantifier, the walk skips every choice that agrees with it on the
 // nodes below the leaf's keep, since each of those has the same value.
-// An innermost universal level with leaf buffers and one position per
-// node is walked once per node instead (see splitLevel), unless some
-// node's ball holds every node.
+// An innermost universal level with leaf buffers, one position per
+// node and more choices than nodes is walked once per node instead (see
+// splitLevel), unless some node's ball holds every node: each node's
+// walk visits a leaf at least, so a level of n choices or fewer is
+// walked as a whole.
 func (ev *gameEval) evalLevel(c *seqContext, i int, e Engine, par bool) (bool, error) {
 	existential := ev.a.Level.ExistentialAt(i)
-	enum := ev.enums[i-1]
-	if !existential && i == len(ev.enums) && ev.pooled && enum.Len() == ev.prep.Graph().N() {
-		if v, split, err := ev.splitLevel(c, i, e, par); split || err != nil {
+	enum, n := ev.enums[i-1], ev.prep.Graph().N()
+	space := enum.Space()
+	if !existential && i == len(ev.enums) && ev.pooled && enum.Len() == n && space.MoreThan(n) {
+		if v, split, err := ev.splitLevel(c, i, e); split || err != nil {
 			return v, err
 		}
 	}
-	space := enum.Space()
 	sym := i == 1 && len(ev.autInv) > 0
 	if par && search.Splittable(e.Opts, space) {
 		// Fan this level out across the pool. c.moves[0..i-2] are shared
@@ -474,70 +476,31 @@ func (ev *gameEval) evalLevel(c *seqContext, i int, e Engine, par bool) (bool, e
 // where φ_u(κ) is node u's verdict. A node that halts in round h has
 // read only the certificates in its ball B(u, h−1), so u's walk visits
 // the level's choices in u's ball order (simulate.Prepared.BallOrder)
-// and, after each leaf u accepts, keeps the prefix that is u's ball:
-// every choice that agrees with the leaf there gives u the same verdict
-// and halting round. A leaf some node rejects is a counterexample and
-// ends the level as false. Nothing below the innermost level reads the
-// choices, so no strategy reply is skipped with them.
+// and, after each leaf every node accepts, keeps the prefix that is u's
+// ball: every choice that agrees with the leaf there gives u the same
+// verdict and halting round. A leaf some node rejects is a
+// counterexample and ends the level as false. Nothing below the
+// innermost level reads the choices, so no strategy reply is skipped
+// with them.
 //
-// Each walk starts on a reset leaf trace, so its work does not depend
-// on the walks its context ran before, and the walks fan out over the
-// nodes when the engine finds the node space worth splitting. split is
-// false, and the caller walks the level over all nodes at once, when
-// some leaf's ball held every node: that node's walk would skip
-// nothing, so it alone would cost what the plain walk does.
-func (ev *gameEval) splitLevel(c *seqContext, i int, e Engine, par bool) (val, split bool, err error) {
-	n := ev.enums[i-1].Len()
-	nodes := search.Space{Len: 1, Size: func(int) int { return n }}
-	if par && search.Splittable(e.Opts, nodes) {
-		var whole atomic.Bool
-		v, poolErr := search.ForAllPerWorker(e.Opts, nodes, func() search.WorkerPred {
-			walk := ev.nodeWalker(ev.newContext(c.moves[:i-1]), i, e)
-			return func(u []int, _ bool) (bool, int) {
-				// holds is false after an error or a whole ball too, so
-				// either stops the pool.
-				holds, all, err := walk(u[0])
-				if err != nil {
-					ev.fail(err)
-				}
-				if all {
-					whole.Store(true)
-				}
-				return holds, keepAll
-			}
-		})
-		if ev.err != nil {
-			return false, true, ev.err
-		}
-		return v, !whole.Load(), poolErr
-	}
-	walk := ev.nodeWalker(c, i, e)
+// Each node's walk starts on a reset leaf trace, so its work does not
+// depend on the walks before it. split is false, and the caller walks
+// the level over all nodes at once, when some leaf's ball held every
+// node: that node's walk would skip nothing, so it alone would cost
+// what the plain walk does. The walks allocate nothing past their
+// buffers, made once per call.
+func (ev *gameEval) splitLevel(c *seqContext, i int, e Engine) (val, split bool, err error) {
+	enum, k := ev.enums[i-1], c.moves[i-1]
+	n := enum.Len()
+	order, dist, cur := make([]int32, n), make([]int32, n), make([]int, n)
+	space := search.Space{Len: n, Size: func(p int) int { return enum.NumOptions(int(order[p])) }}
+	ls := ev.leafBuffers(c)
 	//lint:coarse each node's walk polls the context on every leaf
 	for u := 0; u < n; u++ {
-		if holds, all, err := walk(u); !holds {
-			return false, !all, err
-		}
-	}
-	return true, true, nil
-}
-
-// nodeWalker returns the walk of splitLevel's level i for one node u
-// in the sequential context w. holds reports that u accepted on every
-// leaf the walk visited and that every other node did too; the walk
-// stops, with holds false, at the first leaf some node rejects, at a
-// leaf whose ball for u holds every node (all), or on an error. Its
-// buffers are made once, so a walk allocates nothing.
-func (ev *gameEval) nodeWalker(w *seqContext, i int, e Engine) func(u int) (holds, all bool, err error) {
-	enum, k := ev.enums[i-1], w.moves[i-1]
-	n := enum.Len()
-	var order []int32 // the walking node's ball order
-	space := search.Space{Len: n, Size: func(p int) int { return enum.NumOptions(int(order[p])) }}
-	cur := make([]int, n)
-	return func(u int) (holds, all bool, err error) {
-		order = ev.prep.BallOrder(u)
-		ls := ev.leafBuffers(w)
+		ev.prep.BallOrder(u, order, dist)
 		ls.sim.Reset()
-		holds = search.ForEachPrunedOn(space, cur, func(choices []int) (bool, int) {
+		all := false // a leaf's ball for u held every node
+		holds := search.ForEachPrunedOn(space, cur, func(choices []int) (bool, int) {
 			if e.Opts.Ctx != nil {
 				if err = e.Opts.Ctx.Err(); err != nil {
 					return false, 0
@@ -545,15 +508,19 @@ func (ev *gameEval) nodeWalker(w *seqContext, i int, e Engine) func(u int) (hold
 			}
 			enum.DecodeOrdered(choices, order, k)
 			var ok bool
-			if ok, _, err = ev.leaf(ls, w.moves); err != nil || !ok {
+			if ok, _, err = ev.leaf(ls, c.moves); err != nil || !ok {
 				return false, 0
 			}
-			keep := ev.prep.BallSize(u, ls.sim.Halt(u)-1)
+			r := ls.sim.Halt(u) - 1
+			keep := sort.Search(n, func(p int) bool { return int(dist[order[p]]) > r })
 			all = keep == n
 			return !all, keep
 		})
-		return holds, all, err
+		if !holds {
+			return false, !all, err
+		}
 	}
+	return true, true, nil
 }
 
 // Strategy produces a certificate assignment for a player given the

@@ -129,11 +129,9 @@ func echoZero() *simulate.Machine {
 	}
 }
 
-// TestSplitFansOutOverNodes plays split Π1 games on 64 nodes, where the
-// engine finds the node space worth splitting, under the sequential
-// engine and pools of two and four:
+// TestSplitStopsAndFallsBack plays Π1 games on 64 nodes:
 //   - accept-all on C64 holds, and every node's walk visits its own 3
-//     choices, 192 leaves under any scheduling;
+//     choices, 192 leaves;
 //   - on C64 with nodes 40 and up rejecting a "1", some walk finds a
 //     counterexample;
 //   - echoZero on K64 gives node 0 a ball of every node on its first
@@ -143,7 +141,7 @@ func echoZero() *simulate.Machine {
 //
 // The false values are those of Reference(), which reaches its first
 // counterexample within three leaves.
-func TestSplitFansOutOverNodes(t *testing.T) {
+func TestSplitStopsAndFallsBack(t *testing.T) {
 	t.Parallel()
 	prepare := func(g *graph.Graph) *simulate.Prepared {
 		prep, err := simulate.Prepare(g, graph.GloballyUnique(g))
@@ -165,33 +163,57 @@ func TestSplitFansOutOverNodes(t *testing.T) {
 		},
 	}
 	domains := []cert.Domain{cert.UniformDomain(64, 1)}
+	c := new(Counters)
+	arb := &Arbiter{Machine: acceptor(), Level: Pi(1), RadiusID: 1}
+	if ok, err := arb.GameValueEngine(c64, domains, Engine{Opts: search.Sequential(), Counters: c}); err != nil || !ok {
+		t.Errorf("accept-all on C64: (%v, %v), want (true, nil)", ok, err)
+	}
+	if c.Leaves.Load() != 3*64 {
+		t.Errorf("accept-all on C64: %d leaves, want 192", c.Leaves.Load())
+	}
+	for _, game := range []struct {
+		m    *simulate.Machine
+		prep *simulate.Prepared
+	}{{lateReject, c64}, {echoZero(), k64}} {
+		arb := &Arbiter{Machine: game.m, Level: Pi(1), RadiusID: 1}
+		name := fmt.Sprintf("%s on %d nodes", game.m.Name, game.prep.Graph().N())
+		if want, err := arb.GameValueEngine(game.prep, domains, Reference()); err != nil || want {
+			t.Fatalf("%s, reference: (%v, %v), want (false, nil)", name, want, err)
+		}
+		if ok, err := arb.GameValueEngine(game.prep, domains, Engine{Opts: search.Sequential()}); err != nil || ok {
+			t.Errorf("%s: (%v, %v), want (false, nil)", name, ok, err)
+		}
+	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, o := range []search.Options{search.Sequential(), search.Parallel(2), search.Parallel(4)} {
-		c := new(Counters)
-		arb := &Arbiter{Machine: acceptor(), Level: Pi(1), RadiusID: 1}
-		if ok, err := arb.GameValueEngine(c64, domains, Engine{Opts: o, Counters: c}); err != nil || !ok {
-			t.Errorf("accept-all on C64 under %+v: (%v, %v), want (true, nil)", o, ok, err)
+	o := search.Sequential()
+	o.Ctx = cancelled
+	if _, err := arb.GameValueEngine(c64, domains, Engine{Opts: o}); !errors.Is(err, context.Canceled) {
+		t.Errorf("accept-all on C64 under a cancelled context: %v, want context.Canceled", err)
+	}
+}
+
+// TestSplitSkipsSmallLevels plays Π1 accept-all on C_n with empty
+// certificates only, a level of one choice: each node's walk would
+// visit a leaf of its own, so the level is walked whole, in 1 leaf.
+func TestSplitSkipsSmallLevels(t *testing.T) {
+	t.Parallel()
+	arb := &Arbiter{Machine: acceptor(), Level: Pi(1), RadiusID: 1}
+	for _, n := range []int{3, 9, 40} {
+		g := graph.Cycle(n)
+		prep, err := simulate.Prepare(g, graph.GloballyUnique(g))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if c.Leaves.Load() != 3*64 {
-			t.Errorf("accept-all on C64 under %+v: %d leaves, want 192", o, c.Leaves.Load())
-		}
-		for _, game := range []struct {
-			m    *simulate.Machine
-			prep *simulate.Prepared
-		}{{lateReject, c64}, {echoZero(), k64}} {
-			arb := &Arbiter{Machine: game.m, Level: Pi(1), RadiusID: 1}
-			name := fmt.Sprintf("%s on %d nodes under %+v", game.m.Name, game.prep.Graph().N(), o)
-			if want, err := arb.GameValueEngine(game.prep, domains, Reference()); err != nil || want {
-				t.Fatalf("%s, reference: (%v, %v), want (false, nil)", name, want, err)
+		for _, o := range []search.Options{search.Sequential(), search.Parallel(2)} {
+			c := new(Counters)
+			ok, err := arb.GameValueEngine(prep, []cert.Domain{cert.UniformDomain(n, 0)}, Engine{Opts: o, Counters: c})
+			if err != nil || !ok {
+				t.Fatalf("C%d under %+v: (%v, %v), want (true, nil)", n, o, ok, err)
 			}
-			if ok, err := arb.GameValueEngine(game.prep, domains, Engine{Opts: o}); err != nil || ok {
-				t.Errorf("%s: (%v, %v), want (false, nil)", name, ok, err)
+			if got := c.Leaves.Load(); got != 1 {
+				t.Errorf("C%d under %+v: %d leaves, want 1", n, o, got)
 			}
-		}
-		o.Ctx = cancelled
-		if _, err := arb.GameValueEngine(c64, domains, Engine{Opts: o}); !errors.Is(err, context.Canceled) {
-			t.Errorf("accept-all on C64 under a cancelled %+v: %v, want context.Canceled", o, err)
 		}
 	}
 }

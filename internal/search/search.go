@@ -206,16 +206,22 @@ func Splittable(o Options, s Space) bool {
 }
 
 // smallSpace reports whether s has fewer than minParallelLeaves
-// assignments (counting stops as soon as the bound is reached).
+// assignments.
 func smallSpace(s Space) bool {
+	return !s.MoreThan(minParallelLeaves - 1)
+}
+
+// MoreThan reports whether s has more than k assignments. It stops
+// counting as soon as the count passes k.
+func (s Space) MoreThan(k int) bool {
 	total := 1
 	for p := 0; p < s.Len; p++ {
 		total *= s.Size(p)
-		if total >= minParallelLeaves {
-			return false
+		if total > k {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // ForAll reports whether every assignment of s satisfies pred,

@@ -10,11 +10,11 @@ import (
 	"repro/internal/graph"
 )
 
-// TestBallSizesMatchBFS checks the ball tables against graph.BFS on
-// generated paths, cycles, stars and random connected graphs: BallSize
-// counts the nodes within each radius, past the diameter too, and each
-// ball is the prefix of that length of its node's BallOrder, whose
-// nodes come by distance and then by index.
+// TestBallSizesMatchBFS checks BallOrder against graph.BFS on
+// generated paths, cycles, stars and random connected graphs: dist
+// holds the BFS distances, order lists every node once with distances
+// never decreasing, and so, for every radius, the nodes before the
+// first one farther than it are exactly the ball BFS counts.
 func TestBallSizesMatchBFS(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
@@ -34,33 +34,39 @@ func TestBallSizesMatchBFS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := g.Diameter()
-		for u := 0; u < g.N(); u++ {
-			dist := g.BFS(u)
-			order := prep.BallOrder(u)
-			if len(order) != g.N() {
-				t.Fatalf("%s: node %d's ball order has %d nodes", name, u, len(order))
-			}
-			for p := 1; p < len(order); p++ {
-				a, b := order[p-1], order[p]
-				if dist[a] > dist[b] || dist[a] == dist[b] && a >= b {
-					t.Fatalf("%s: node %d's ball order %v is not by distance, then index", name, u, order)
+		n, d := g.N(), g.Diameter()
+		order, dist := make([]int32, n), make([]int32, n)
+		for u := 0; u < n; u++ {
+			bfs := g.BFS(u)
+			prep.BallOrder(u, order, dist)
+			for v, d := range bfs {
+				if int(dist[v]) != d {
+					t.Fatalf("%s: node %d is at distance %d from %d, BallOrder says %d", name, v, d, u, dist[v])
 				}
 			}
-			for r := -1; r <= d+1; r++ {
+			seen := make([]bool, n)
+			for p, v := range order {
+				if seen[v] {
+					t.Fatalf("%s: node %d's ball order %v repeats %d", name, u, order, v)
+				}
+				seen[v] = true
+				if p > 0 && dist[order[p-1]] > dist[v] {
+					t.Fatalf("%s: node %d's ball order %v is not by distance", name, u, order)
+				}
+			}
+			for r := 0; r <= d+1; r++ {
 				size := 0
-				for _, x := range dist {
-					if x <= r {
+				for _, d := range bfs {
+					if d <= r {
 						size++
 					}
 				}
-				if got := prep.BallSize(u, r); got != size {
-					t.Fatalf("%s: |B(%d, %d)| = %d, BFS counts %d", name, u, r, got, size)
+				prefix := 0
+				for prefix < n && int(dist[order[prefix]]) <= r {
+					prefix++
 				}
-				for _, v := range order[:size] {
-					if dist[v] > r {
-						t.Fatalf("%s: node %d's ball order puts %d, at distance %d, among the first %d", name, u, v, dist[v], size)
-					}
+				if prefix != size {
+					t.Fatalf("%s: B(%d, %d) is a prefix of %d nodes of the ball order, BFS counts %d", name, u, r, prefix, size)
 				}
 			}
 		}

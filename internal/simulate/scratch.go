@@ -106,11 +106,11 @@ func (sc *Scratch) NodeRuns() int64 { return sc.nodeRuns }
 //
 // An accept fixes more per node: node u's verdict, and its halting
 // round h (see Halt), depend only on the certificates in its ball
-// B(u, h−1), which is the prefix of length Prepared.BallSize(u, h−1)
-// of u's Prepared.BallOrder. internal/core walks the innermost
-// universal level once per node in that order and keeps that prefix
-// for u alone. When u's ball holds every node, the per-node walk can
-// skip nothing, and core walks the level once over all nodes instead.
+// B(u, h−1), which is a prefix of u's Prepared.BallOrder.
+// internal/core walks the innermost universal level once per node in
+// that order and keeps that prefix for u alone. When u's ball holds
+// every node, the per-node walk can skip nothing, and core walks the
+// level once over all nodes instead.
 func (sc *Scratch) Keep() int { return sc.keep }
 
 // Halt returns the round node u halted in during the last RunAccepted

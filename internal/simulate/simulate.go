@@ -137,9 +137,9 @@ var ErrDidNotTerminate = errors.New("simulate: machine did not terminate")
 // identifier-sorted neighbor orders and the outbox slot map — computed
 // once, so that many executions (differing machines and certificate
 // lists) amortize it. A Prepared is immutable after Prepare (apart from
-// its locality tables and ball orders, each computed once on first use)
-// and safe for concurrent use; game evaluations and the Batch scheduler
-// run thousands of executions against a single instance.
+// its locality table, computed once on first use) and safe for concurrent Run
+// calls; game evaluations and the Batch scheduler run
+// thousands of executions against a single instance.
 type Prepared struct {
 	g  *graph.Graph
 	id graph.IDAssignment
@@ -150,14 +150,10 @@ type Prepared struct {
 	// slice indexing on the hot path.
 	recvSlot [][]int
 
-	// The locality tables, made on first use (see locality).
+	// The locality table, made on first use (see locality).
 	localOnce sync.Once
 	diam      int
 	reach     []int32
-	balls     []int32
-	// The ball orders, made on first use (see BallOrder).
-	orderOnce sync.Once
-	order     []int32
 }
 
 // Prepare computes the reusable setup for executions of machines on
@@ -191,30 +187,19 @@ func Prepare(g *graph.Graph, id graph.IDAssignment) (*Prepared, error) {
 	return p, nil
 }
 
-// locality returns the graph's diameter and its reach and ball-size
-// tables, computed on first use: reach[u*(diam+1)+r] is the largest
-// node index within distance r of u, and balls[u*(diam+1)+r] is the
-// number of nodes within distance r of u. RunAccepted compares the
-// diameter with a run's round count and reads its keep off the reach
-// table (see Scratch.Keep); BallSize reads the ball-size table. Radii
-// past the diameter read column diam. A breadth-first search from each
-// node counts its balls; column r of reach is the maximum of column r−1
-// over each closed neighbourhood.
+// locality returns the graph's diameter and its reach table, computed
+// on first use: reach[u*(diam+1)+r] is the largest node index within
+// distance r of u. RunAccepted compares the diameter with a run's round
+// count and reads its keep off the table (see Scratch.Keep). Column r
+// is the maximum of column r−1 over each closed neighbourhood, and
+// radii past the diameter read column diam.
 func (p *Prepared) locality() (int, []int32) {
 	p.localOnce.Do(func() {
 		n, d := p.g.N(), p.g.Diameter()
 		w := d + 1
-		p.diam, p.reach, p.balls = d, make([]int32, n*w), make([]int32, n*w)
-		dist, queue := make([]int32, n), make([]int32, n)
+		p.diam, p.reach = d, make([]int32, n*w)
 		for u := 0; u < n; u++ {
 			p.reach[u*w] = int32(u)
-			ball := p.balls[u*w : (u+1)*w]
-			for k, v := range p.bfs(u, dist, queue) {
-				ball[dist[v]] = int32(k + 1)
-			}
-			for r := 1; r < w; r++ {
-				ball[r] = max(ball[r], ball[r-1]) // radii past u's eccentricity
-			}
 		}
 		for r := 1; r <= d; r++ {
 			for u := 0; u < n; u++ {
@@ -229,62 +214,27 @@ func (p *Prepared) locality() (int, []int32) {
 	return p.diam, p.reach
 }
 
-// bfs fills dist with every node's distance from u and returns the
-// nodes in the order the search reached them, in queue (both of length
-// n), so that distances never decrease along it.
-func (p *Prepared) bfs(u int, dist, queue []int32) []int32 {
+// BallOrder fills order with every node, breadth first from u, and
+// dist[v] with v's distance from u; both have length n (a graph is
+// connected, so the search reaches every node). Distances never
+// decrease along order, so each ball B(u, r) is a prefix of it: the
+// nodes before the first one farther than r. It allocates nothing.
+func (p *Prepared) BallOrder(u int, order, dist []int32) {
 	for v := range dist {
 		dist[v] = -1
 	}
-	dist[u], queue[0] = 0, int32(u)
+	dist[u], order[0] = 0, int32(u)
 	tail := 1
 	for head := 0; head < tail; head++ {
-		x := queue[head]
+		x := order[head]
 		for _, v := range p.neighborOrder[x] {
 			if dist[v] < 0 {
 				dist[v] = dist[x] + 1
-				queue[tail] = int32(v)
+				order[tail] = int32(v)
 				tail++
 			}
 		}
 	}
-	return queue[:tail]
-}
-
-// BallSize returns |B(u, r)|, the number of nodes within distance r of
-// u (0 for a negative r).
-func (p *Prepared) BallSize(u, r int) int {
-	if r < 0 {
-		return 0
-	}
-	d, _ := p.locality()
-	return int(p.balls[u*(d+1)+min(r, d)])
-}
-
-// BallOrder returns u's ball order: every node, sorted by distance
-// from u and then by index. Each ball B(u, r) is therefore its prefix
-// of length BallSize(u, r). The orders of all nodes are made together
-// on the first call; the slice must not be modified.
-func (p *Prepared) BallOrder(u int) []int32 {
-	p.orderOnce.Do(func() {
-		n := p.g.N()
-		p.order = make([]int32, n*n)
-		dist, queue := make([]int32, n), make([]int32, n)
-		next := make([]int, n) // next[r]: where the next node at distance r goes
-		for x := 0; x < n; x++ {
-			p.bfs(x, dist, queue)
-			for r := range next {
-				next[r] = p.BallSize(x, r-1)
-			}
-			row := p.order[x*n : (x+1)*n]
-			for v, r := range dist {
-				row[next[r]] = int32(v)
-				next[r]++
-			}
-		}
-	})
-	n := p.g.N()
-	return p.order[u*n : (u+1)*n : (u+1)*n]
 }
 
 // Graph returns the prepared graph.
