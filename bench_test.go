@@ -388,11 +388,11 @@ func BenchmarkSpanningForestGameEngines(b *testing.B) {
 // simulate.Prepared instance.
 //
 // "sequential" is core.Reference(): the unoptimized equivalence baseline
-// (one worker, no memo, no pooled leaves, no symmetry pruning).
+// (one worker, no memo, no pooled leaves).
 // "parallel" is the optimized default engine with a fresh transposition
 // table per iteration, so every iteration plays the cold game (pooled
-// incremental leaves, backjumping, symmetry pruning, the memo within
-// the game) rather than one whole-game table hit.
+// incremental leaves, backjumping, the memo within the game) rather
+// than one whole-game table hit.
 func BenchmarkCoreGameEngines(b *testing.B) {
 	g := graph.Path(4).MustWithLabels([]string{"0", "1", "1", "0"})
 	id := graph.GloballyUnique(g)
@@ -468,8 +468,7 @@ func BenchmarkBatchSimulate(b *testing.B) {
 	}
 	for _, e := range engines {
 		b.Run(e.name, func(b *testing.B) {
-			opt := simulate.BatchOptions{Workers: e.opts.Workers,
-				Run: simulate.Options{Sequential: true}}
+			opt := simulate.BatchOptions{Workers: e.opts.Workers}
 			for i := 0; i < b.N; i++ {
 				results, err := prep.Batch(jobs, opt)
 				if err != nil {

@@ -28,9 +28,8 @@
 // is threaded through every subcommand: the game subcommand and the
 // certificate games behind verify fan out across the pool
 // (service.VerifyMemo plays them with core.StrategyGameValueEngine:
-// Adam's universal levels split), and
-// decide runs its machine on the sequential node schedule when N is 1.
-// Note the engine skips the pool on spaces too small to be worth
+// Adam's universal levels split); decide runs one machine, which never
+// fans out. Note the engine skips the pool on spaces too small to be worth
 // splitting — the Figure 1 instances are in that regime, so both
 // engines cost the same there.
 //

@@ -225,8 +225,9 @@ func (d Domain) Enum() *Enum {
 func (e *Enum) Len() int { return len(e.options) }
 
 // NumOptions returns the number of bit strings node u ranges over (the
-// radix of position u in Space). The game engine's memo keys and
-// symmetry reduction fingerprint domains through it.
+// radix of position u in Space). The game engine's memo keys
+// fingerprint domains through it, and its per-node walks size the
+// positions of a level, taken in a node's ball order, with it.
 func (e *Enum) NumOptions(u int) int { return len(e.options[u]) }
 
 // Space exposes the compiled domain as a search.Space: one position per

@@ -147,9 +147,8 @@ func (a *Arbiter) GameValueEngine(prep *simulate.Prepared, domains []cert.Domain
 // gameEval carries the state shared by every worker of one game
 // evaluation: the prepared simulation instance, the compiled per-level
 // domains, Eve's strategies in a strategy-guided game, the
-// optimization-layer state derived from the Engine (memo seed, collected
-// automorphisms, leaf buffer mode), and the first error raised by any
-// leaf.
+// optimization-layer state derived from the Engine (memo seed, leaf
+// buffer mode), and the first error raised by any leaf.
 type gameEval struct {
 	a     *Arbiter
 	prep  *simulate.Prepared
@@ -162,10 +161,6 @@ type gameEval struct {
 	// the machine is unnamed, or a strategy game has no Salt; see
 	// evalSeed).
 	seed string
-	// auts/autInv are the collected value-preserving automorphisms and
-	// their inverses (nil when symmetry pruning is off; see sym.go).
-	auts   [][]int
-	autInv [][]int
 	// pooled selects leaf runs on reused buffers (simulate.RunAccepted);
 	// reference mode runs leaves through simulate.Prepared.Run.
 	pooled bool
@@ -202,24 +197,16 @@ type seqContext struct {
 }
 
 // newGameEval compiles the domains and derives the optimization-layer
-// state the engine enables. strategies is nil for an exhaustive game;
-// a strategy-guided game never uses symmetry pruning: a Strategy
-// observes node indices through the graph, so its replies need not be
-// equivariant under the automorphisms, and orbit pruning of Adam's
-// moves would be unsound.
+// state the engine enables: the memo seed and the leaf buffer mode.
+// strategies is nil for an exhaustive game.
 func newGameEval(a *Arbiter, prep *simulate.Prepared, domains []cert.Domain, eng Engine, strategies []Strategy) *gameEval {
 	ev := &gameEval{a: a, prep: prep, enums: make([]*cert.Enum, len(domains)), strategies: strategies, counters: eng.Counters}
 	//lint:coarse domain compilation bounded by the level's alternation depth
 	for i, d := range domains {
 		ev.enums[i] = d.Enum()
 	}
-	if len(ev.enums) > 0 {
-		if !eng.NoSymmetry && strategies == nil {
-			ev.initSymmetry()
-		}
-		if eng.Memo != nil {
-			ev.seed = evalSeed(a, prep, ev.enums, eng.Salt, strategies != nil)
-		}
+	if len(ev.enums) > 0 && eng.Memo != nil {
+		ev.seed = evalSeed(a, prep, ev.enums, eng.Salt, strategies != nil)
 	}
 	ev.pooled = !eng.NoPool
 	return ev
@@ -268,24 +255,23 @@ func (ev *gameEval) fail(err error) {
 }
 
 // keepAll is the keep of a value that vouches for no other choice: an
-// outer or strategy level's subgame, a symmetry-skipped choice, an
-// error, or a reference-mode leaf. search clamps it to the space's Len.
+// outer or strategy level's subgame, an error, or a reference-mode
+// leaf. search clamps it to the space's Len.
 const keepAll = math.MaxInt
 
 // leaf executes the arbiter's machine on fully chosen certificates and
 // returns its verdict with its keep: the innermost level's choices at
 // nodes keep and beyond do not change the verdict (see
-// simulate.Scratch.Keep). The game levels are the unit of parallelism,
-// so each leaf runs its nodes sequentially (identical results either
-// way; see simulate). With buffers (ls non-nil) the run goes through
-// simulate.Prepared.RunAccepted, which reruns only the nodes the
-// change from the buffers' previous leaf reaches; reference mode (ls
-// nil) pays the allocating Run path on every node and vouches for no
-// other leaf.
+// simulate.Scratch.Keep). The game levels are the unit of parallelism;
+// a leaf runs its nodes one after another. With buffers (ls non-nil)
+// the run goes through simulate.Prepared.RunAccepted, which reruns only
+// the nodes the change from the buffers' previous leaf reaches;
+// reference mode (ls nil) pays the allocating Run path on every node
+// and vouches for no other leaf.
 func (ev *gameEval) leaf(ls *leafScratch, chosen []cert.Assignment) (bool, int, error) {
 	if ls == nil {
 		ev.count(int64(ev.prep.Graph().N()))
-		res, err := ev.prep.Run(ev.a.Machine, cert.NodeLists(chosen...), simulate.Options{Sequential: true})
+		res, err := ev.prep.Run(ev.a.Machine, cert.NodeLists(chosen...), simulate.Options{})
 		if err != nil {
 			return false, keepAll, err
 		}
@@ -362,10 +348,8 @@ func (ev *gameEval) eval(c *seqContext, i int, e Engine, par bool) (bool, int, e
 // level has been fanned out yet, so the first level the engine considers
 // splittable claims the worker pool (levels with tiny spaces pass the
 // pool down to the bigger levels beneath them); everything below a
-// fan-out runs sequentially within its worker. At the outermost level
-// choices that are not the lexicographic minimum of their automorphism
-// orbit are skipped (value-preserving; see sym.go). The innermost
-// level backjumps: after a leaf whose value does not decide the
+// fan-out runs sequentially within its worker. The innermost level
+// backjumps: after a leaf whose value does not decide the
 // quantifier, the walk skips every choice that agrees with it on the
 // nodes below the leaf's keep, since each of those has the same value.
 // An innermost universal level with leaf buffers, one position per
@@ -382,7 +366,6 @@ func (ev *gameEval) evalLevel(c *seqContext, i int, e Engine, par bool) (bool, e
 			return v, err
 		}
 	}
-	sym := i == 1 && len(ev.autInv) > 0
 	if par && search.Splittable(e.Opts, space) {
 		// Fan this level out across the pool. c.moves[0..i-2] are shared
 		// read-only (the enclosing sequential enumerators only decode
@@ -398,11 +381,6 @@ func (ev *gameEval) evalLevel(c *seqContext, i int, e Engine, par bool) (bool, e
 					// which prefix the worker ran before, so the work of
 					// an evaluation is the same under any scheduling.
 					w.leaf.sim.Reset()
-				}
-				if sym && ev.symSkip(choices) {
-					// A pruned choice must not decide the quantifier: it
-					// neither witnesses the ∃ nor refutes the ∀.
-					return !existential, keepAll
 				}
 				enum.Decode(choices, w.moves[i-1])
 				v, keep, err := ev.eval(w, i+1, e, false)
@@ -441,9 +419,6 @@ func (ev *gameEval) evalLevel(c *seqContext, i int, e Engine, par bool) (bool, e
 			if innerErr = e.Opts.Ctx.Err(); innerErr != nil {
 				return false, 0
 			}
-		}
-		if sym && ev.symSkip(choices) {
-			return true, keepAll
 		}
 		enum.Decode(choices, c.moves[i-1])
 		v, keep, err := ev.eval(c, i+1, e, par)
@@ -577,8 +552,7 @@ func (a *Arbiter) StrategyGameValueOpt(g *graph.Graph, id graph.IDAssignment, st
 // same evaluator as GameValueEngine, with each of Eve's levels cut down
 // to her strategy's reply (see eval). Strategy-guided games are
 // memoized only when the engine carries a non-empty Salt naming the
-// strategies (see evalSeed), and never use symmetry pruning (see
-// newGameEval).
+// strategies (see evalSeed).
 func (a *Arbiter) StrategyGameValueEngine(prep *simulate.Prepared, strategies []Strategy, domains []cert.Domain, e Engine) (bool, error) {
 	l := a.Level.Alternations
 	if len(strategies) != l || len(domains) != l {

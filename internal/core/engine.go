@@ -7,11 +7,11 @@ import (
 )
 
 // Engine configures one game evaluation: the search options of the
-// worker pool plus the optimization layers added on top of it. The zero
-// value of every knob selects the optimized default, so Engine{Opts: o}
-// is what GameValueOpt and StrategyGameValueOpt run; Reference() turns
-// every layer off and is the equivalence baseline the core parity and
-// property tests compare against.
+// worker pool plus the two optimization layers on top of it, the
+// whole-game memo (Memo) and pooled leaves (on unless NoPool).
+// Engine{Opts: o} is what GameValueOpt and StrategyGameValueOpt run;
+// Reference() turns every layer off and is the equivalence baseline the
+// core parity and property tests compare against.
 //
 // Quantifier values are independent of visitation order and every layer
 // below is value-preserving (see DESIGN.md, "Game-engine optimization"),
@@ -37,12 +37,6 @@ type Engine struct {
 	// strategy games with an empty Salt are not memoized at all.
 	Salt string
 
-	// NoSymmetry disables automorphism-based pruning of the outermost
-	// quantifier level. (Strategy-guided games never use the pruning:
-	// strategies observe node indices, which breaks the equivariance the
-	// soundness argument needs.)
-	NoSymmetry bool
-
 	// NoPool disables pooled leaf execution (simulate.RunAccepted) and
 	// runs every leaf through the allocating simulate.Prepared.Run path,
 	// which reports no keep, so the walks neither backjump nor split an
@@ -67,15 +61,11 @@ type Counters struct {
 }
 
 // Reference returns the unoptimized engine: single-threaded search, no
-// memo, no symmetry pruning, no buffer pooling (so no backjumping and
+// memo, no buffer pooling (so no incremental leaves, no backjumping and
 // no per-node walks).
 // It is the trusted baseline every optimization layer is
 // equivalence-tested against — in the ProCoS sense, the specification
 // the optimized engine must provably refine.
 func Reference() Engine {
-	return Engine{
-		Opts:       search.Sequential(),
-		NoSymmetry: true,
-		NoPool:     true,
-	}
+	return Engine{Opts: search.Sequential(), NoPool: true}
 }

@@ -157,7 +157,6 @@ func engineConfigs(memo *Memo) []struct {
 		{"optimized parallel", Engine{Opts: search.Parallel(4)}},
 		{"memo sequential", Engine{Opts: search.Sequential(), Memo: memo, Salt: "t"}},
 		{"memo parallel", Engine{Opts: search.Parallel(4), Memo: memo, Salt: "t"}},
-		{"memo no-symmetry", Engine{Opts: search.Parallel(4), Memo: memo, Salt: "t", NoSymmetry: true}},
 		{"memo no-pool", Engine{Opts: search.Parallel(4), Memo: memo, Salt: "t", NoPool: true}},
 	}
 }
@@ -165,9 +164,9 @@ func engineConfigs(memo *Memo) []struct {
 // TestMemoEnabledMatchesReference is the ProCoS equivalence property of
 // the PR 8 optimization layers: for every core arbiter — Σ and Π levels
 // with 1–3 alternations, including the relativized Lemma 11 machine —
-// every engine configuration (memo on/off, bitset on/off, symmetry
-// on/off, pool on/off, sequential/parallel) computes exactly the value
-// of the unoptimized Reference() engine. Each memoized configuration
+// every engine configuration (memo on/off, pool on/off,
+// sequential/parallel) computes exactly the value of the unoptimized
+// Reference() engine. Each memoized configuration
 // runs twice against one shared table, so warm hits are checked to
 // return the same verdict as the cold computation.
 func TestMemoEnabledMatchesReference(t *testing.T) {
@@ -201,9 +200,8 @@ func TestMemoEnabledMatchesReference(t *testing.T) {
 }
 
 // TestMemoSymmetricInstanceMatchesReference extends the equivalence
-// property to instances with non-trivial value-preserving symmetry —
-// C6 with period-3 identifiers admits the rotation by 3 — where the
-// pruning layer actually skips work (TestSymmetryPrunes asserts that).
+// property to identifiers that are only locally unique: C6 with
+// period-3 identifiers, where every id occurs at two nodes.
 func TestMemoSymmetricInstanceMatchesReference(t *testing.T) {
 	t.Parallel()
 	g := graph.Cycle(6).MustWithLabels([]string{"0", "1", "1", "0", "1", "1"})

@@ -71,11 +71,10 @@ func TestPooledLeafPrefixIsolation(t *testing.T) {
 		})
 		return seen, eng.Counters.Leaves.Load()
 	}
-	// NoSymmetry pins determinism explicitly (unique ids already admit no
-	// automorphisms); pooling is on in both configurations — the engine
-	// under test — and only the worker count differs.
-	seqSeen, seqLeaves := run(Engine{Opts: search.Sequential(), NoSymmetry: true})
-	parSeen, parLeaves := run(Engine{Opts: search.Parallel(4), NoSymmetry: true})
+	// Pooling is on in both configurations — the engine under test — and
+	// only the worker count differs.
+	seqSeen, seqLeaves := run(Engine{Opts: search.Sequential()})
+	parSeen, parLeaves := run(Engine{Opts: search.Parallel(4)})
 	if parLeaves != seqLeaves {
 		t.Errorf("parallel pooled run visited %d leaves, sequential %d", parLeaves, seqLeaves)
 	}

@@ -13,6 +13,32 @@ import (
 	"repro/internal/simulate"
 )
 
+// acceptor accepts everywhere in one round.
+func acceptor() *simulate.Machine {
+	return &simulate.Machine{
+		Name:   "test:acceptor",
+		Init:   func(simulate.Input) any { return nil },
+		Round:  func(any, int, []string) ([]string, bool) { return nil, true },
+		Output: func(any) string { return "1" },
+	}
+}
+
+// rejectsOne accepts at a node iff its last certificate is not "1",
+// in one round.
+func rejectsOne() *simulate.Machine {
+	return &simulate.Machine{
+		Name:  "test:rejects-one",
+		Init:  func(in simulate.Input) any { return in.Certs[len(in.Certs)-1] != "1" },
+		Round: func(any, int, []string) ([]string, bool) { return nil, true },
+		Output: func(s any) string {
+			if s.(bool) {
+				return "1"
+			}
+			return "0"
+		},
+	}
+}
+
 // TestSplitLeavesLinearOnCycles pins the growth of the per-node walk
 // (see splitLevel) on the Π1 accept-all game over one-bit certificates
 // on C_n: a one-round node reads only its own certificate, so each of
@@ -215,5 +241,87 @@ func TestSplitSkipsSmallLevels(t *testing.T) {
 				t.Errorf("C%d under %+v: %d leaves, want 1", n, o, got)
 			}
 		}
+	}
+}
+
+// TestSplitUnderOuterExists pins the split below an outer ∃: a Σ2 game
+// on C6 with period-3 identifiers, where κ2 = "1" anywhere rejects, so
+// Adam refutes each of Eve's 3^6 = 729 outer choices and the game is
+// false with the outer level run to exhaustion. Below each outer
+// choice, Adam's innermost ∀ is walked per node (see splitLevel), and
+// node 0's walk meets its counterexample on its third leaf: 3 leaves
+// per outer choice. Incremental leaves restart fewer than n nodes per
+// leaf on average, since consecutive leaves mostly differ in one
+// certificate.
+func TestSplitUnderOuterExists(t *testing.T) {
+	t.Parallel()
+	g := graph.Cycle(6)
+	prep, err := simulate.Prepare(g, graph.IDAssignment{"0", "1", "10", "0", "1", "10"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	domains := []cert.Domain{cert.UniformDomain(6, 1), cert.UniformDomain(6, 1)}
+	c := new(Counters)
+	arb := &Arbiter{Machine: rejectsOne(), Level: Sigma(2), RadiusID: 1}
+	ok, err := arb.GameValueEngine(prep, domains, Engine{Opts: search.Sequential(), Counters: c})
+	if err != nil || ok {
+		t.Fatalf("Σ2 game Adam refutes: (%v, %v), want (false, nil)", ok, err)
+	}
+	leaves, runs := c.Leaves.Load(), c.NodeRuns.Load()
+	if leaves != 3*729 {
+		t.Errorf("%d leaves, want 3 for each of 3^6 = 729 outer choices", leaves)
+	}
+	if runs >= leaves*int64(g.N()) {
+		t.Errorf("%d leaves started %d nodes, want fewer than leaves × n = %d", leaves, runs, leaves*int64(g.N()))
+	}
+}
+
+// TestLeafErrorSurfaces plays games whose machine never halts at node 0
+// when that node's last certificate is "1", so some leaf of every game
+// errors: a Π1 game, whose innermost ∀ is walked per node, and a Σ2
+// game, whose outer ∃ is walked plainly (and fanned out under a pool),
+// on C4 and C9. Every engine must return simulate.ErrDidNotTerminate,
+// and a second call on the same memo must error again, since errors
+// are never stored.
+func TestLeafErrorSurfaces(t *testing.T) {
+	t.Parallel()
+	stall := &simulate.Machine{
+		Name:   "test:stalls-on-one",
+		Init:   func(in simulate.Input) any { return in.Node == 0 && in.Certs[len(in.Certs)-1] == "1" },
+		Round:  func(s any, _ int, _ []string) ([]string, bool) { return nil, !s.(bool) },
+		Output: func(any) string { return "1" },
+	}
+	memo := Engine{Opts: search.Parallel(2), Memo: NewMemo(0)}
+	engines := map[string]Engine{
+		"reference":        Reference(),
+		"sequential":       {Opts: search.Sequential()},
+		"Parallel(2)":      {Opts: search.Parallel(2)},
+		"Parallel(2) memo": memo,
+	}
+	for _, n := range []int{4, 9} {
+		g := graph.Cycle(n)
+		prep, err := simulate.Prepare(g, graph.GloballyUnique(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := cert.UniformDomain(n, 1)
+		for _, level := range []Level{Pi(1), Sigma(2)} {
+			arb := &Arbiter{Machine: stall, Level: level, RadiusID: 1}
+			domains := []cert.Domain{d, d}[:level.Alternations]
+			for name, e := range engines {
+				calls := 1
+				if e.Memo != nil {
+					calls = 2
+				}
+				for call := 1; call <= calls; call++ {
+					if _, err := arb.GameValueEngine(prep, domains, e); !errors.Is(err, simulate.ErrDidNotTerminate) {
+						t.Errorf("%v on C%d, %s, call %d: %v, want ErrDidNotTerminate", level, n, name, call, err)
+					}
+				}
+			}
+		}
+	}
+	if st := memo.Memo.Stats(); st.Hits != 0 {
+		t.Errorf("memo answered %d calls from a stored entry, want none: errors are never stored", st.Hits)
 	}
 }

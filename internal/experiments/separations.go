@@ -165,8 +165,7 @@ func Proposition24Opt(n int, machines []*simulate.Machine, o search.Options) (*R
 	for i, m := range machines {
 		jobs[i] = simulate.Job{Machine: m}
 	}
-	bopt := simulate.BatchOptions{Workers: o.Workers, Ctx: o.Ctx,
-		Run: simulate.Options{Sequential: true}}
+	bopt := simulate.BatchOptions{Workers: o.Workers, Ctx: o.Ctx}
 	prepOdd, err := simulate.Prepare(odd, idOdd)
 	if err != nil {
 		return nil, err

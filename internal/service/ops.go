@@ -85,9 +85,9 @@ func HasDecide(name string) bool {
 }
 
 // Decide runs the named locally polynomial decider on the prepared
-// instance and reports unanimous acceptance. The engine options are
-// honored as far as a single machine run can: Workers == 1 forces the
-// sequential node schedule and a done context aborts before the run.
+// instance and reports unanimous acceptance. A single machine run has
+// no fan-out, so of the engine options only the context is honored: a
+// done context aborts before the run.
 func Decide(prep *simulate.Prepared, name string, o search.Options) (bool, error) {
 	m, ok := decideMachines()[name]
 	if !ok {
@@ -96,7 +96,7 @@ func Decide(prep *simulate.Prepared, name string, o search.Options) (bool, error
 	if err := ctxErr(o); err != nil {
 		return false, err
 	}
-	res, err := prep.Run(m, nil, simulate.Options{Sequential: o.Workers == 1})
+	res, err := prep.Run(m, nil, simulate.Options{})
 	if err != nil {
 		return false, err
 	}

@@ -32,10 +32,8 @@ type BatchOptions struct {
 	// cancellation is observed are skipped (their results stay nil) and
 	// Batch returns the context's error.
 	Ctx context.Context
-	// Run holds the per-execution options. Within a multi-worker batch,
-	// jobs are the unit of parallelism, so Run.Sequential = true (one
-	// goroutine per job rather than per node) is usually the right
-	// choice; both settings produce identical Results.
+	// Run holds the per-execution options. Jobs are the unit of
+	// parallelism: each runs its nodes on the worker that took it.
 	Run Options
 }
 

@@ -72,7 +72,7 @@ func batchCerts(n int) [][][]string {
 
 // TestPreparedMatchesRun: reusing one Prepared instance across differing
 // certificate lists must produce byte-identical Results to fresh Run
-// calls, in both node-execution modes.
+// calls.
 func TestPreparedMatchesRun(t *testing.T) {
 	t.Parallel()
 	g := graph.Cycle(5).MustWithLabels([]string{"1", "1", "0", "1", "1"})
@@ -82,19 +82,17 @@ func TestPreparedMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := certBroadcast()
-	for _, seq := range []bool{true, false} {
-		for _, certs := range batchCerts(g.N()) {
-			want, err := Run(m, g, id, certs, Options{Sequential: seq})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := p.Run(m, certs, Options{Sequential: seq})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("seq=%v certs=%v: prepared %+v, fresh %+v", seq, certs, got, want)
-			}
+	for _, certs := range batchCerts(g.N()) {
+		want, err := Run(m, g, id, certs, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.Run(m, certs, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("certs=%v: prepared %+v, fresh %+v", certs, got, want)
 		}
 	}
 }
@@ -128,16 +126,13 @@ func TestBatchMatchesRun(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 3, 16} {
-		for _, seq := range []bool{true, false} {
-			got, err := p.Batch(jobs, BatchOptions{Workers: workers, Run: Options{Sequential: seq}})
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			for i := range jobs {
-				if !reflect.DeepEqual(want[i], got[i]) {
-					t.Fatalf("workers=%d seq=%v job %d: batch %+v, fresh %+v",
-						workers, seq, i, got[i], want[i])
-				}
+		got, err := p.Batch(jobs, BatchOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range jobs {
+			if !reflect.DeepEqual(want[i], got[i]) {
+				t.Fatalf("workers=%d job %d: batch %+v, fresh %+v", workers, i, got[i], want[i])
 			}
 		}
 	}

@@ -197,7 +197,7 @@ func checkIncrementalSequence(t testing.TB, data []byte) keepRuns {
 		dense := sc.rounds > 0 && sc.rounds-1 >= sc.diam
 		runs := sc.NodeRuns()
 		got, gotErr := p.RunAccepted(m, certs, maxRounds, sc)
-		res, wantErr := p.Run(m, certs, Options{Sequential: true, MaxRounds: maxRounds})
+		res, wantErr := p.Run(m, certs, Options{MaxRounds: maxRounds})
 		if (gotErr != nil) != (wantErr != nil) || gotErr != nil && !errors.Is(gotErr, ErrDidNotTerminate) {
 			t.Fatalf("step %d (%s, n=%d, certs %q, maxRounds %d): RunAccepted err %v, Run err %v", step, m.Name, n, certs, maxRounds, gotErr, wantErr)
 		}
@@ -235,7 +235,7 @@ func checkIncrementalSequence(t testing.TB, data []byte) keepRuns {
 				free[u][j] = certOptions[redraw.Intn(len(certOptions)-1)]
 			}
 		}
-		res, err := p.Run(m, free, Options{Sequential: true})
+		res, err := p.Run(m, free, Options{})
 		if err != nil || res.Accepted() != got {
 			t.Fatalf("step %d (%s, n=%d, dense %v): verdict %v with keep %d under %q, but Run gives (%v, %v) under %q",
 				step, m.Name, n, dense, got, keep, certs, res != nil && res.Accepted(), err, free)

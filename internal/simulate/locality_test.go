@@ -128,7 +128,7 @@ func TestHaltMatchesRun(t *testing.T) {
 			if _, err := prep.RunAccepted(m, certs, 0, sc); err != nil {
 				t.Fatal(err)
 			}
-			res, err := prep.Run(m, certs, Options{Sequential: true})
+			res, err := prep.Run(m, certs, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -127,8 +127,8 @@ func (sc *Scratch) ball(u, halt int) int {
 // sequentially against the prepared instance under the per-node
 // certificate lists certs (nil for none) and reports unanimous
 // acceptance, without materializing a Result or allocating per node.
-// maxRounds 0 means 64, as in Options. sc must come from p.NewScratch
-// and must not be used by another execution concurrently.
+// maxRounds 0 means defaultMaxRounds, as in Options. sc must come from
+// p.NewScratch and must not be used by another execution concurrently.
 //
 // Runs are incremental. sc keeps a trace of its last run — each node's
 // certificate list, its messages of every round, its halting round and
@@ -150,12 +150,11 @@ func (sc *Scratch) ball(u, halt int) int {
 // The recv slice handed to m.Round aliases a buffer reused across nodes
 // and rounds, which is within the Machine contract: Round must not
 // retain recv beyond the call (see Machine). RunAccepted is equivalent
-// to Run with Options{Sequential: true} followed by Result.Accepted;
-// the simulate test suite pins the equivalence over long run sequences
-// on one Scratch.
+// to Run followed by Result.Accepted; the simulate test suite pins the
+// equivalence over long run sequences on one Scratch.
 func (p *Prepared) RunAccepted(m *Machine, certs [][]string, maxRounds int, sc *Scratch) (bool, error) {
 	if maxRounds == 0 {
-		maxRounds = 64
+		maxRounds = defaultMaxRounds
 	}
 	n := p.g.N()
 	sc.keep = n // until a rejecting node says otherwise

@@ -88,7 +88,7 @@ func TestRunAcceptedMatchesRun(t *testing.T) {
 			}
 			certs[u] = []string{bit}
 		}
-		res, err := prep.Run(m, certs, Options{Sequential: true})
+		res, err := prep.Run(m, certs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestRunAcceptedMessageOrder(t *testing.T) {
 			t.Fatalf("run %d: messages not in identifier order on the pooled path", i)
 		}
 	}
-	res, err := prep.Run(m, nil, Options{Sequential: true})
+	res, err := prep.Run(m, nil, Options{})
 	if err != nil || !res.Accepted() {
 		t.Fatalf("reference path disagrees: %v %v", res, err)
 	}

@@ -6,9 +6,9 @@
 // messages are exchanged with neighbors sorted in ascending identifier
 // order, and acceptance is by unanimity.
 //
-// Rounds can be executed concurrently (one goroutine per node, barrier
-// between rounds) or sequentially; both modes are deterministic and
-// produce identical results, which the tests verify.
+// Each round runs its nodes one after another on the calling goroutine;
+// parallelism lives a level up, across executions (Batch, and the game
+// engines' worker pools).
 //
 // The per-(graph, id) setup — identifier-sorted neighbor orders and the
 // outbox slot map — can be amortized across many executions through
@@ -48,8 +48,9 @@ func (in Input) LocalSize() int {
 }
 
 // Machine is a synchronous distributed algorithm. Implementations must be
-// deterministic and must not share mutable state across nodes; the engine
-// calls the three functions concurrently for different nodes.
+// deterministic and must not share mutable state across nodes or
+// executions: concurrent executions (Batch, the game engines' workers)
+// call the three functions concurrently.
 //
 // Determinism is what lets the incremental fast path
 // (Prepared.RunAccepted) reuse an earlier run: it may skip Init, Round
@@ -122,13 +123,16 @@ func (r *Result) Rejecters() []int {
 
 // Options configure an execution.
 type Options struct {
-	// MaxRounds bounds the execution; 0 means 64. Machines in this
-	// repository run in constant round time, so the bound only guards
-	// against bugs.
+	// MaxRounds bounds the execution; 0 means 64 (defaultMaxRounds).
+	// Machines in this repository run in constant round time, so the
+	// bound only guards against bugs.
 	MaxRounds int
-	// Sequential forces single-goroutine execution.
-	Sequential bool
 }
+
+// defaultMaxRounds is the round bound of a run that sets none. Run and
+// RunAccepted share it, so the reference and pooled game engines agree
+// on when a machine did not terminate.
+const defaultMaxRounds = 64
 
 // ErrDidNotTerminate is returned when some node never halts.
 var ErrDidNotTerminate = errors.New("simulate: machine did not terminate")
@@ -249,7 +253,7 @@ func (p *Prepared) ID() graph.IDAssignment { return p.id }
 func (p *Prepared) Run(m *Machine, certs [][]string, opt Options) (*Result, error) {
 	maxRounds := opt.MaxRounds
 	if maxRounds == 0 {
-		maxRounds = 64
+		maxRounds = defaultMaxRounds
 	}
 	n := p.g.N()
 	states := make([]any, n)
@@ -281,7 +285,8 @@ func (p *Prepared) Run(m *Machine, certs [][]string, opt Options) (*Result, erro
 	//lint:coarse round count is bounded by MaxRounds; core polls between leaves
 	for round := 1; round <= maxRounds; round++ {
 		next := make([][]string, n)
-		runNode := func(u int) {
+		//lint:coarse one round over n nodes; core polls between leaves
+		for u := 0; u < n; u++ {
 			recv := make([]string, len(p.neighborOrder[u]))
 			if round > 1 {
 				for j, v := range p.neighborOrder[u] {
@@ -303,23 +308,6 @@ func (p *Prepared) Run(m *Machine, certs [][]string, opt Options) (*Result, erro
 				res.SentBits[u] += len(s)
 			}
 			next[u] = send
-		}
-		if opt.Sequential {
-			//lint:coarse one round over n nodes; core polls between leaves
-			for u := 0; u < n; u++ {
-				runNode(u)
-			}
-		} else {
-			var wg sync.WaitGroup
-			for u := 0; u < n; u++ {
-				u := u
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					runNode(u)
-				}()
-			}
-			wg.Wait()
 		}
 		outbox = next
 		all := true

@@ -2,8 +2,6 @@ package simulate
 
 import (
 	"errors"
-	"math/rand"
-	"strconv"
 	"testing"
 
 	"repro/internal/graph"
@@ -106,38 +104,6 @@ func TestBroadcastEquality(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential: both execution modes must agree bit for bit.
-func TestParallelMatchesSequential(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(33))
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + rng.Intn(8)
-		g := graph.RandomConnected(n, 0.3, rng)
-		labels := make([]string, n)
-		for u := range labels {
-			labels[u] = strconv.FormatInt(int64(rng.Intn(4)), 2)
-		}
-		lg := g.MustWithLabels(labels)
-		id := graph.SmallLocallyUnique(lg, 1)
-		a, err := Run(broadcastLabelEq(), lg, id, nil, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Run(broadcastLabelEq(), lg, id, nil, Options{Sequential: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Accepted() != b.Accepted() || a.Rounds != b.Rounds {
-			t.Fatalf("modes diverge on %v", lg)
-		}
-		for u := range a.Outputs {
-			if a.Outputs[u] != b.Outputs[u] {
-				t.Fatalf("output mismatch at node %d", u)
-			}
-		}
-	}
-}
-
 // TestMessageOrdering: messages must arrive sorted by sender identifier.
 func TestMessageOrdering(t *testing.T) {
 	t.Parallel()
@@ -167,7 +133,7 @@ func TestMessageOrdering(t *testing.T) {
 	// Star with center 0; leaves get identifiers in inverted order.
 	g := graph.Star(4)
 	id := graph.IDAssignment{"00", "11", "10", "01"}
-	res, err := Run(probe, g, id, nil, Options{Sequential: true})
+	res, err := Run(probe, g, id, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +148,7 @@ func TestMessageOrdering(t *testing.T) {
 		}
 		return s
 	}
-	if _, err := Run(&probe2, g, id, nil, Options{Sequential: true}); err != nil {
+	if _, err := Run(&probe2, g, id, nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"01", "10", "11"} // ascending identifier order
@@ -236,7 +202,7 @@ func TestHaltedNodesSendNothing(t *testing.T) {
 		Output: func(any) string { return "1" },
 	}
 	g := graph.Path(2).MustWithLabels([]string{"0", "1"})
-	if _, err := Run(m, g, graph.GloballyUnique(g), nil, Options{Sequential: true}); err != nil {
+	if _, err := Run(m, g, graph.GloballyUnique(g), nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	nodeB := states[1]
