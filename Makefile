@@ -1,6 +1,7 @@
 # Single verify entry point: `make check` runs formatting, vet, the
 # custom lint suite (cmd/lphlint), build, the full race-enabled test
-# suite, and short fuzz smokes of the graph JSON decoder and the service
+# suite, every example program, the offline vet and test of the lphbench
+# module, and short fuzz smokes of the graph JSON decoder and the service
 # request decoder (see DESIGN.md).
 # `make help` lists the targets.
 
@@ -15,9 +16,9 @@ GO ?= go
 # statistically meaningful.
 BENCHTIME ?= 200ms
 
-.PHONY: check fmt vet vet-journal lint build test test-lifecycle fuzz bench bench-json bench-delta serve-smoke router-smoke help
+.PHONY: check fmt vet vet-journal lint build test test-lifecycle examples bench-build fuzz bench bench-json bench-delta serve-smoke router-smoke help
 
-check: fmt vet vet-journal lint build test test-lifecycle fuzz
+check: fmt vet vet-journal lint build test test-lifecycle examples bench-build fuzz
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -55,6 +56,28 @@ test:
 test-lifecycle:
 	$(GO) test -race -count=2 -run 'Drain|Idempoten|Shed|Saturat|RetryStorm' \
 		./internal/jobs ./internal/service ./cmd/lphd
+
+# examples runs every examples/* program and fails on a nonzero exit:
+# they drive the library through its public entry points, which no
+# test calls the way they do.
+examples:
+	@set -e; for d in examples/*/; do \
+		[ -f "$$d/main.go" ] || continue; \
+		echo "go run ./$$d"; \
+		$(GO) run "./$$d" >/dev/null; \
+	done
+
+# bench-build vets and tests the lphbench module (a separate module
+# that replaces this one from the parent directory) in the offline
+# environment lphbench/run.sh builds it in, every cache under
+# .bench_build/. It catches a change here that breaks the benchmark.
+BENCH_ENV = GOCACHE=$(CURDIR)/.bench_build/gocache GOMODCACHE=$(CURDIR)/.bench_build/gomodcache \
+	GOPATH=$(CURDIR)/.bench_build/gopath GOTMPDIR=$(CURDIR)/.bench_build/tmp \
+	GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local GOTELEMETRY=off GOWORK=off
+
+bench-build:
+	@mkdir -p .bench_build/tmp
+	cd lphbench && $(BENCH_ENV) $(GO) vet ./... && $(BENCH_ENV) $(GO) test ./...
 
 # fuzz smoke-runs the fuzzers for 5s each: FuzzReadGraph over
 # the malformed-graph corpus (trailing data, truncated arrays),
@@ -385,7 +408,7 @@ router-smoke:
 	echo "router-smoke OK (failover with zero failed client requests; survivors restarted=0)"
 
 help:
-	@echo "make check       - fmt + vet + lint + build + race tests + decoder fuzz smokes (the verify entry point)"
+	@echo "make check       - fmt + vet + lint + build + race tests + examples + bench-build + decoder fuzz smokes (the verify entry point)"
 	@echo "make fmt         - fail if gofmt would change any file"
 	@echo "make vet         - go vet ./..."
 	@echo "make vet-journal - explicit vet gate on journal/journaltest/jobs"
@@ -393,6 +416,8 @@ help:
 	@echo "make build       - go build ./..."
 	@echo "make test        - go test -race ./..."
 	@echo "make test-lifecycle - drain/shed/idempotency suite twice under -race (defeats caching, shakes out flakes)"
+	@echo "make examples    - go run every examples/* program; fail on a nonzero exit"
+	@echo "make bench-build - go vet + go test the lphbench module offline, caches in .bench_build/ (as lphbench/run.sh builds it)"
 	@echo "make fuzz        - 5s fuzz smokes: FuzzReadGraph + FuzzDecodeRequest + FuzzIdempotencyKey + FuzzReplayJournal + FuzzMemoKey + FuzzTupleCodec + FuzzIncrementalRun + FuzzTraceparent"
 	@echo "make bench       - smoke-run every benchmark once"
 	@echo "make bench-json  - record every benchmark for BENCHTIME (default 200ms) in BENCH_pr10.json"

@@ -47,7 +47,15 @@ func BenchmarkFig1ThreeRoundColoring(b *testing.B) {
 	yes := graph.Figure1YesInstance()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if props.ThreeRoundThreeColorable(no) || !props.ThreeRoundThreeColorable(yes) {
+		noWins, err := props.ThreeRoundThreeColorable(no, search.Default())
+		if err != nil {
+			b.Fatal(err)
+		}
+		yesWins, err := props.ThreeRoundThreeColorable(yes, search.Default())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if noWins || !yesWins {
 			b.Fatal("figure 1 game value changed")
 		}
 	}
@@ -57,7 +65,7 @@ func BenchmarkFig1ThreeRoundColoring(b *testing.B) {
 // Figure 2/13 (Propositions 24 and 26).
 func BenchmarkFig2Separations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if !experiments.Figure2Separations().OK() {
+		if !experiments.Figure2Separations(search.Default()).OK() {
 			b.Fatal("separation experiment failed")
 		}
 	}
@@ -132,7 +140,7 @@ func BenchmarkFig6Pictures(b *testing.B) {
 // BenchmarkFig7LocalityLadder regenerates the Figure 7 ladder experiment.
 func BenchmarkFig7LocalityLadder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if !experiments.Figure7Ladder().OK() {
+		if !experiments.Figure7Ladder(search.Default()).OK() {
 			b.Fatal("ladder failed")
 		}
 	}
@@ -200,7 +208,7 @@ func BenchmarkSpanningForestGame(b *testing.B) {
 	g := graph.Cycle(5).MustWithLabels([]string{"1", "1", "0", "1", "1"})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !games.EveWinsPointsTo(g, games.IsUnselected) {
+		if !games.EveWinsPointsTo(g, games.IsUnselected, search.Default()) {
 			b.Fatal("game value changed")
 		}
 	}
@@ -292,7 +300,11 @@ func BenchmarkCertificateGame(b *testing.B) {
 	domains := []cert.Domain{cert.UniformDomain(4, 1)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ok, err := arb.GameValue(g, id, domains)
+		prep, err := simulate.Prepare(g, id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ok, err := arb.GameValueEngine(prep, domains, core.Engine{})
 		if err != nil || !ok {
 			b.Fatal("game broke")
 		}
@@ -310,8 +322,8 @@ func BenchmarkThreeRoundColoringEngines(b *testing.B) {
 	for _, e := range engines {
 		b.Run(e.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if props.ThreeRoundThreeColorableOpt(g, e.opts) {
-					b.Fatal("Adam lost the spider game")
+				if won, err := props.ThreeRoundThreeColorable(g, e.opts); err != nil || won {
+					b.Fatalf("Adam lost the spider game (err %v)", err)
 				}
 			}
 		})
@@ -338,7 +350,7 @@ func BenchmarkFig2SeparationsEngines(b *testing.B) {
 	for _, e := range engines {
 		b.Run(e.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if !experiments.Figure2SeparationsOpt(e.opts).OK() {
+				if !experiments.Figure2Separations(e.opts).OK() {
 					b.Fatal("separation experiment failed")
 				}
 			}
@@ -355,7 +367,7 @@ func BenchmarkNonColorableGameEngines(b *testing.B) {
 	for _, e := range engines {
 		b.Run(e.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if !games.EveWinsNonKColorableOpt(g, 3, e.opts) {
+				if !games.EveWinsNonKColorable(g, 3, e.opts) {
 					b.Fatal("K4 became 3-colorable")
 				}
 			}
@@ -371,7 +383,7 @@ func BenchmarkSpanningForestGameEngines(b *testing.B) {
 	for _, e := range engines {
 		b.Run(e.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if games.EveWinsPointsToOpt(g, games.IsUnselected, e.opts) {
+				if games.EveWinsPointsTo(g, games.IsUnselected, e.opts) {
 					b.Fatal("game value changed")
 				}
 			}
@@ -490,7 +502,7 @@ func BenchmarkBatchSimulate(b *testing.B) {
 }
 
 // BenchmarkSweepEngines runs the WHOLE experiment suite through the
-// sharded sweep engine (experiments.AllOpt), sequential pool vs
+// sharded sweep engine (experiments.All), sequential pool vs
 // parallel pool — the PR 4 tentpole workload: experiments fan out
 // across the pool and each experiment's instance sweeps shard through
 // the same engine, so the suite's wall clock tracks the worker count
@@ -500,7 +512,7 @@ func BenchmarkSweepEngines(b *testing.B) {
 	for _, e := range engines {
 		b.Run(e.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				for _, rep := range experiments.AllOpt(e.opts) {
+				for _, rep := range experiments.All(e.opts) {
 					if !rep.OK() {
 						b.Fatalf("experiment %s failed under %s", rep.ID, e.name)
 					}

@@ -14,10 +14,11 @@
 //	lph [-workers N] reduce <reduction> < graph.json   (prints the output graph JSON)
 //	    reduction: eulerian | hamiltonian | co-hamiltonian | 3color
 //	lph [-workers N] game figure1       (plays the 3-round 3-colorability game)
-//	lph [-workers N] sweep [id ...]     (runs experiments on the sharded sweep engine)
+//	lph [-workers N] sweep [id ...]     (runs the paper's experiment suite)
 //	    id: figure1 … figure9, figure11, examples, fagin, cook-levin, lemma13
-//	    (no ids = the whole suite; each experiment's instance sweeps
-//	    shard across the worker pool)
+//	    (no ids = the whole suite; prints each experiment's report and
+//	    then its "id: ok" or "id: FAILED" line; each experiment's
+//	    instance sweeps shard across the worker pool)
 //
 // Every subcommand body lives in internal/service — the same operation
 // layer the lphd HTTP server routes to — so the CLI and the service run
@@ -33,8 +34,9 @@
 // splitting — the Figure 1 instances are in that regime, so both
 // engines cost the same there.
 //
-// Exit status: 0 = property holds / reduction succeeded, 1 = property does
-// not hold, 2 = usage or input error.
+// Exit status: 0 = property holds / reduction succeeded / every selected
+// experiment reproduces the paper's claim, 1 = property does not hold /
+// an experiment failed, 2 = usage or input error.
 package main
 
 import (
@@ -195,9 +197,8 @@ func game(args []string, engine search.Options, stdout, stderr io.Writer) int {
 // sweep runs the named experiments (all of them with no arguments) on
 // the sharded sweep engine: experiments run in selection order and
 // each one's instance sweeps shard across the worker pool (one fan-out
-// level, so the pool stays inside the -workers budget). One summary
-// line per experiment goes to stdout; failing reports are printed in
-// full on stderr.
+// level, so the pool stays inside the -workers budget). Each
+// experiment's full report goes to stdout, followed by its status line.
 func sweep(args []string, engine search.Options, stdout, stderr io.Writer) int {
 	specs := experiments.Index()
 	if len(args) > 0 {
@@ -211,19 +212,14 @@ func sweep(args []string, engine search.Options, stdout, stderr io.Writer) int {
 			specs = append(specs, s)
 		}
 	}
-	failed := 0
+	code := 0
 	for _, spec := range specs {
 		rep := spec.Run(engine)
-		if rep.OK() {
-			fmt.Fprintf(stdout, "%s: ok\n", spec.ID)
-		} else {
-			failed++
-			fmt.Fprintf(stdout, "%s: FAILED\n", spec.ID)
-			fmt.Fprint(stderr, rep)
+		status := "ok"
+		if !rep.OK() {
+			status, code = "FAILED", 1
 		}
+		fmt.Fprintf(stdout, "%s%s: %s\n", rep, spec.ID, status)
 	}
-	if failed > 0 {
-		return 1
-	}
-	return 0
+	return code
 }

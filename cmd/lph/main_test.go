@@ -5,9 +5,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/graphio"
 	"repro/internal/search"
 	"repro/internal/service"
@@ -52,8 +54,27 @@ func reduceGolden(t *testing.T, input, name string) string {
 	return buf.String()
 }
 
+// sweepGolden computes the exact bytes `lph sweep` must print for the
+// given experiment ids: each report as the sequential engine renders
+// it, followed by its status line. Reports are engine-invariant (see
+// experiments.TestAllOptEngineParity), so every -workers value prints
+// the same bytes.
+func sweepGolden(t *testing.T, ids []string) string {
+	t.Helper()
+	var out strings.Builder
+	for _, id := range ids {
+		spec, ok := experiments.FindSpec(id)
+		if !ok {
+			t.Fatalf("unknown experiment %q", id)
+		}
+		out.WriteString(spec.Run(search.Sequential()).String() + id + ": ok\n")
+	}
+	return out.String()
+}
+
 // TestCLITable pins exit code and stdout bytes for every decide /
-// verify / reduce / game subcommand against the examples/graphs corpus.
+// verify / reduce / game / sweep subcommand against the examples/graphs
+// corpus.
 func TestCLITable(t *testing.T) {
 	figure1Out := "Figure 1a: 3-colorable=true, 3-round 3-colorable=false\n" +
 		"Figure 1b: 3-colorable=true, 3-round 3-colorable=true\n"
@@ -62,7 +83,7 @@ func TestCLITable(t *testing.T) {
 		args  []string
 		input string // example file; "" = no stdin content
 		code  int
-		out   string // exact stdout; "@reduce" = reduceGolden of args[1]
+		out   string // exact stdout; "@reduce" = reduceGolden of the last arg, "@sweep" = sweepGolden of the ids
 	}{
 		// decide: all three LP properties, both verdicts.
 		{"decide/all-selected/yes", []string{"decide", "all-selected"}, "triangle-selected.json", 0, "all-selected: true\n"},
@@ -93,12 +114,15 @@ func TestCLITable(t *testing.T) {
 		{"reduce/3color", []string{"reduce", "3color"}, "satgraph.json", 0, "@reduce"},
 		// game.
 		{"game/figure1", []string{"game", "figure1"}, "", 0, figure1Out},
-		// sweep: named experiments through the sharded engine, summary
-		// lines in selection order.
-		{"sweep/one", []string{"sweep", "figure5"}, "", 0, "figure5: ok\n"},
-		{"sweep/two", []string{"sweep", "figure9", "figure3"}, "", 0, "figure9: ok\nfigure3: ok\n"},
-		{"sweep/workers-seq", []string{"-workers", "1", "sweep", "figure7"}, "", 0, "figure7: ok\n"},
-		{"sweep/workers-par", []string{"-workers", "4", "sweep", "figure7"}, "", 0, "figure7: ok\n"},
+		// sweep: named experiments through the sharded engine, each full
+		// report and its status line in selection order. cook-levin runs
+		// the τ-translation probes (k = 2, 3 over seven topologies)
+		// against the k-colorability oracle and fails on any mismatch.
+		{"sweep/one", []string{"sweep", "figure5"}, "", 0, "@sweep"},
+		{"sweep/two", []string{"sweep", "figure9", "figure3"}, "", 0, "@sweep"},
+		{"sweep/workers-seq", []string{"-workers", "1", "sweep", "figure7"}, "", 0, "@sweep"},
+		{"sweep/workers-par", []string{"-workers", "4", "sweep", "figure7"}, "", 0, "@sweep"},
+		{"sweep/cook-levin", []string{"sweep", "cook-levin"}, "", 0, "@sweep"},
 		// -workers threads through every subcommand (the decide/reduce
 		// paths used to drop it): verdicts and bytes are engine-invariant.
 		{"workers/decide-seq", []string{"-workers", "1", "decide", "all-selected"}, "triangle-selected.json", 0, "all-selected: true\n"},
@@ -116,8 +140,11 @@ func TestCLITable(t *testing.T) {
 				stdin = example(t, tc.input)
 			}
 			want := tc.out
-			if want == "@reduce" {
+			switch want {
+			case "@reduce":
 				want = reduceGolden(t, stdin, tc.args[len(tc.args)-1])
+			case "@sweep":
+				want = sweepGolden(t, tc.args[slices.Index(tc.args, "sweep")+1:])
 			}
 			code, stdout, stderr := runCLI(tc.args, stdin)
 			if code != tc.code {
@@ -153,6 +180,8 @@ func TestCLIErrors(t *testing.T) {
 		{"sweep/unknown", []string{"sweep", "nope"}, ""},
 		{"sweep/mixed-unknown", []string{"sweep", "figure5", "nope"}, ""},
 		{"workers/negative", []string{"-workers", "-3", "game", "figure1"}, ""},
+		{"sweep/workers-negative", []string{"-workers", "-1", "sweep", "figure5"}, ""},
+		{"sweep/stray-flag", []string{"sweep", "-only", "figure5"}, ""},
 		{"flag/unknown", []string{"-bogus", "decide", "all-selected"}, valid},
 		{"decide/not-json", []string{"decide", "all-selected"}, "not json"},
 		{"decide/trailing", []string{"decide", "all-selected"}, valid + " trailing"},

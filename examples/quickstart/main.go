@@ -51,9 +51,13 @@ func main() {
 		RadiusID: 1,
 		Bound:    localph.CertBound{R: 1, P: localph.Polynomial{0, 2}},
 	}
-	ok, err := arb.StrategyGameValue(g, id,
+	prep, err := localph.Prepare(g, id)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ok, err := arb.StrategyGameValueEngine(prep,
 		[]localph.Strategy{arbiters.ColoringStrategy(3)},
-		[]cert.Domain{{}})
+		[]cert.Domain{{}}, localph.Engine{})
 	if err != nil {
 		log.Fatal(err)
 	}

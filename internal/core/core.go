@@ -98,50 +98,54 @@ func (a *Arbiter) Run(g *graph.Graph, id graph.IDAssignment, assigns ...cert.Ass
 	return res.Accepted(), nil
 }
 
-// GameValue evaluates the alternating certificate game exhaustively over
-// the given per-move domains (len(domains) must equal the level's number of
-// alternations). It reports whether the first player to move — Eve for Σ
-// levels, Adam for Π levels — achieves her/his objective: the game value is
-// true iff
+// GameValueEngine evaluates the alternating certificate game
+// exhaustively over the given per-move domains against an
+// already-prepared simulation instance (simulate.Prepare(g, id)).
+// domains[i] is the domain of move i+1, so len(domains) must equal the
+// level's number of alternations, and every domain must give one
+// maximal certificate length per node of the prepared graph. It reports
+// whether the first player to move — Eve for Σ levels, Adam for Π
+// levels — achieves her/his objective: the game value is true iff
 //
 //	Q1 κ1 Q2 κ2 … : M(G, id, κ1·…·κℓ) ≡ accept
 //
 // with Q1 Q2 … the level's quantifier prefix.
 //
-// GameValue runs on the package default search engine (parallel across
-// all CPUs); GameValueOpt selects the engine.
-func (a *Arbiter) GameValue(g *graph.Graph, id graph.IDAssignment, domains []cert.Domain) (bool, error) {
-	return a.GameValueOpt(g, id, domains, search.Default())
-}
-
-// GameValueOpt is GameValue under explicit search options: the outermost
+// The engine selects the worker pool, the memo table and the
+// optimization layers (see Engine); the zero Engine{} is the package
+// default (parallel across all CPUs), and Reference() is the oracle
+// every other configuration is tested against. The outermost
 // quantifier level whose space the engine considers worth splitting is
 // handed to the worker pool (short-circuit Exists for Eve, ForAll for
-// Adam), levels below it are enumerated sequentially within each worker,
-// and every game leaf runs against a single simulate.Prepared instance
-// so the per-(graph, id) setup is paid once for the whole game tree.
-// Quantifier values are independent of visitation order, so
-// GameValueOpt(…, Sequential()) and any parallel pool compute the same
-// value — the core parity tests assert this under the race detector.
-func (a *Arbiter) GameValueOpt(g *graph.Graph, id graph.IDAssignment, domains []cert.Domain, o search.Options) (bool, error) {
-	prep, err := simulate.Prepare(g, id)
-	if err != nil {
-		return false, err
-	}
-	return a.GameValueEngine(prep, domains, Engine{Opts: o})
-}
-
-// GameValueEngine is the fully configurable evaluation entry point: it
-// plays the game against an already-prepared simulation instance, so
-// callers that evaluate many games on the same (graph, id) skip the
-// per-instance setup, and the engine selects the worker pool, the memo
-// table, and the optimization layers (see Engine). Every configuration
-// computes the same game value.
+// Adam), levels below it are enumerated sequentially within each
+// worker, and every game leaf runs against prep, so the per-(graph, id)
+// setup is paid once for the whole game tree and callers that evaluate
+// many games on the same instance pay it once for all of them.
+// Quantifier values are independent of visitation order, so every
+// configuration computes the same game value — the core parity tests
+// assert this under the race detector.
 func (a *Arbiter) GameValueEngine(prep *simulate.Prepared, domains []cert.Domain, e Engine) (bool, error) {
 	if len(domains) != a.Level.Alternations {
 		return false, fmt.Errorf("core: %d domains for level %v", len(domains), a.Level)
 	}
+	//lint:coarse domain check bounded by the level's alternation depth
+	for i := range domains {
+		if err := checkDomain(prep, i+1, domains[i]); err != nil {
+			return false, err
+		}
+	}
 	return newGameEval(a, prep, domains, e, nil).run(e)
+}
+
+// checkDomain rejects a domain of move i that does not give exactly one
+// maximal certificate length per node of the prepared graph: a short one
+// would index past its end at some leaf, a long one would enumerate
+// certificates for nodes that do not exist.
+func checkDomain(prep *simulate.Prepared, i int, d cert.Domain) error {
+	if n := prep.Graph().N(); len(d.MaxLen) != n {
+		return fmt.Errorf("core: move %d domain covers %d nodes, graph has %d", i, len(d.MaxLen), n)
+	}
+	return nil
 }
 
 // gameEval carries the state shared by every worker of one game
@@ -512,47 +516,27 @@ func (ev *gameEval) splitLevel(c *seqContext, i int, e Engine) (val, split bool,
 // so appending to it copies.
 type Strategy func(g *graph.Graph, id graph.IDAssignment, moves []cert.Assignment) (cert.Assignment, error)
 
-// StrategyGameValue evaluates the game with Eve's moves produced by
-// strategies and Adam's moves enumerated exhaustively over domains.
-// strategies[i] and domains[i] correspond to move i+1 and exactly one of
-// them must be non-nil, matching the level's quantifier at that position
-// (strategies for existential moves, domains for universal moves).
+// StrategyGameValueEngine evaluates the game with Eve's moves produced
+// by strategies and Adam's moves enumerated exhaustively over domains,
+// against an already-prepared simulation instance (the graph and
+// identifier assignment are taken from it). strategies[i] and
+// domains[i] correspond to move i+1: existential moves need a strategy
+// (their domain slot is unused and may be {}), universal moves need a
+// domain with one maximal certificate length per node.
 //
 // The result true means Eve's strategies defeat every Adam play — which
 // witnesses membership, since a winning strategy is in particular a
 // witness for each ∃. The converse (false ⇒ non-membership) holds only
 // when the strategies are optimal, as the paper's constructions are.
 //
-// StrategyGameValue runs on the package default search engine (parallel
-// across all CPUs); StrategyGameValueOpt selects the engine.
-func (a *Arbiter) StrategyGameValue(g *graph.Graph, id graph.IDAssignment, strategies []Strategy, domains []cert.Domain) (bool, error) {
-	return a.StrategyGameValueOpt(g, id, strategies, domains, search.Default())
-}
-
-// StrategyGameValueOpt is StrategyGameValue under explicit search
-// options. Eve's strategy moves are deterministic, so the game tree only
-// branches at Adam's universal levels: the outermost universal level
-// whose domain the engine considers worth splitting is handed to the
-// worker pool (short-circuit ForAll), everything below it runs
-// sequentially within each worker, and all leaves share one
-// simulate.Prepared instance.
-func (a *Arbiter) StrategyGameValueOpt(g *graph.Graph, id graph.IDAssignment, strategies []Strategy, domains []cert.Domain, o search.Options) (bool, error) {
-	prep, err := simulate.Prepare(g, id)
-	if err != nil {
-		return false, err
-	}
-	return a.StrategyGameValueEngine(prep, strategies, domains, Engine{Opts: o})
-}
-
-// StrategyGameValueEngine is StrategyGameValueOpt against an
-// already-prepared simulation instance (the graph and identifier
-// assignment are taken from it), so repeated verifications of the same
-// graph — the service layer's cache hit path — pay the per-(graph, id)
-// setup only once, under a full engine configuration. It walks the
-// same evaluator as GameValueEngine, with each of Eve's levels cut down
-// to her strategy's reply (see eval). Strategy-guided games are
-// memoized only when the engine carries a non-empty Salt naming the
-// strategies (see evalSeed).
+// It walks the same evaluator as GameValueEngine, with each of Eve's
+// levels cut down to her strategy's reply (see eval): the game tree
+// only branches at Adam's universal levels, and the outermost one whose
+// domain the engine considers worth splitting is handed to the worker
+// pool (short-circuit ForAll). Repeated verifications of the same graph
+// — the service layer's cache hit path — pay the per-(graph, id) setup
+// only once. Strategy-guided games are memoized only when the engine
+// carries a non-empty Salt naming the strategies (see evalSeed).
 func (a *Arbiter) StrategyGameValueEngine(prep *simulate.Prepared, strategies []Strategy, domains []cert.Domain, e Engine) (bool, error) {
 	l := a.Level.Alternations
 	if len(strategies) != l || len(domains) != l {
@@ -560,11 +544,12 @@ func (a *Arbiter) StrategyGameValueEngine(prep *simulate.Prepared, strategies []
 	}
 	//lint:coarse slot check bounded by the level's alternation depth
 	for i := 1; i <= l; i++ {
-		if a.Level.ExistentialAt(i) && strategies[i-1] == nil {
+		if !a.Level.ExistentialAt(i) {
+			if err := checkDomain(prep, i, domains[i-1]); err != nil {
+				return false, err
+			}
+		} else if strategies[i-1] == nil {
 			return false, fmt.Errorf("core: move %d is existential but has no strategy", i)
-		}
-		if !a.Level.ExistentialAt(i) && len(domains[i-1].MaxLen) == 0 {
-			return false, fmt.Errorf("core: move %d is universal but has no domain", i)
 		}
 	}
 	return newGameEval(a, prep, domains, e, strategies).run(e)

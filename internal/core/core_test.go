@@ -47,18 +47,27 @@ func certEqualsLabel(level Level) *Arbiter {
 	return &Arbiter{Machine: m, Level: level, RadiusID: 1, Bound: cert.Bound{R: 1, P: cert.Polynomial{8}}}
 }
 
+// gameValue prepares (g, id) and plays the exhaustive game on it under e.
+func gameValue(a *Arbiter, g *graph.Graph, id graph.IDAssignment, domains []cert.Domain, e Engine) (bool, error) {
+	prep, err := simulate.Prepare(g, id)
+	if err != nil {
+		return false, err
+	}
+	return a.GameValueEngine(prep, domains, e)
+}
+
 func TestGameValueExistential(t *testing.T) {
 	t.Parallel()
 	g := graph.Path(2).MustWithLabels([]string{"0", "1"})
 	id := graph.GloballyUnique(g)
 	arb := certEqualsLabel(Sigma(1))
 	// Eve can match each label with a 1-bit certificate.
-	ok, err := arb.GameValue(g, id, []cert.Domain{cert.UniformDomain(2, 1)})
+	ok, err := gameValue(arb, g, id, []cert.Domain{cert.UniformDomain(2, 1)}, Engine{})
 	if err != nil || !ok {
 		t.Fatalf("∃ should succeed: %v %v", ok, err)
 	}
 	// With 0-length certificates only, Eve cannot match "0"/"1" labels.
-	ok, err = arb.GameValue(g, id, []cert.Domain{cert.UniformDomain(2, 0)})
+	ok, err = gameValue(arb, g, id, []cert.Domain{cert.UniformDomain(2, 0)}, Engine{})
 	if err != nil || ok {
 		t.Fatalf("∃ over empty strings should fail: %v %v", ok, err)
 	}
@@ -70,7 +79,7 @@ func TestGameValueUniversal(t *testing.T) {
 	id := graph.GloballyUnique(g)
 	arb := certEqualsLabel(Pi(1))
 	// ∀κ1: the machine rejects for most certificates.
-	ok, err := arb.GameValue(g, id, []cert.Domain{cert.UniformDomain(2, 1)})
+	ok, err := gameValue(arb, g, id, []cert.Domain{cert.UniformDomain(2, 1)}, Engine{})
 	if err != nil || ok {
 		t.Fatalf("∀ should fail: %v %v", ok, err)
 	}
@@ -103,7 +112,7 @@ func TestGameValueAlternation(t *testing.T) {
 	domains := []cert.Domain{cert.UniformDomain(1, 1), cert.UniformDomain(1, 1)}
 
 	// Σ2: ∃κ1∀κ2 — whatever Eve fixes, Adam can break parity.
-	ok, err := certParity(Sigma(2)).GameValue(g, id, domains)
+	ok, err := gameValue(certParity(Sigma(2)), g, id, domains, Engine{})
 	if err != nil || ok {
 		t.Fatalf("Σ2 game should be false: %v %v", ok, err)
 	}
@@ -125,7 +134,7 @@ func TestGameValueAlternation(t *testing.T) {
 		Output: func(s any) string { return map[bool]string{true: "1", false: "0"}[s.(*st).ok] },
 	}
 	arb := &Arbiter{Machine: lenient, Level: Pi(2), RadiusID: 1, Bound: cert.Bound{R: 1, P: cert.Polynomial{8}}}
-	ok, err = arb.GameValue(g, id, domains)
+	ok, err = gameValue(arb, g, id, domains, Engine{})
 	if err != nil || !ok {
 		t.Fatalf("Π2 game should be true: %v %v", ok, err)
 	}
@@ -143,7 +152,11 @@ func TestStrategyGameValue(t *testing.T) {
 		}
 		return out, nil
 	})
-	ok, err := arb.StrategyGameValue(g, id, []Strategy{copyLabels}, []cert.Domain{{}})
+	prep, err := simulate.Prepare(g, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := arb.StrategyGameValueEngine(prep, []Strategy{copyLabels}, []cert.Domain{{}}, Engine{})
 	if err != nil || !ok {
 		t.Fatalf("strategy should win: %v %v", ok, err)
 	}
@@ -151,7 +164,8 @@ func TestStrategyGameValue(t *testing.T) {
 
 // TestStrategyGameSlotChecks: a strategy game is refused before any
 // leaf runs unless it has one strategy/domain slot per move, a strategy
-// at every existential move and a domain at every universal one.
+// at every existential move and, at every universal one, a domain with
+// one entry per node.
 func TestStrategyGameSlotChecks(t *testing.T) {
 	t.Parallel()
 	g := graph.Path(2).MustWithLabels([]string{"0", "1"})
@@ -170,11 +184,42 @@ func TestStrategyGameSlotChecks(t *testing.T) {
 	}{
 		{[]Strategy{nil, reply}, []cert.Domain{one}, "core: need 2 strategy/domain slots"},
 		{[]Strategy{nil, nil}, []cert.Domain{one, {}}, "core: move 2 is existential but has no strategy"},
-		{[]Strategy{nil, reply}, []cert.Domain{{}, {}}, "core: move 1 is universal but has no domain"},
+		{[]Strategy{nil, reply}, []cert.Domain{{}, {}}, "core: move 1 domain covers 0 nodes, graph has 2"},
+		{[]Strategy{nil, reply}, []cert.Domain{cert.UniformDomain(1, 1), {}}, "core: move 1 domain covers 1 nodes, graph has 2"},
+		{[]Strategy{nil, reply}, []cert.Domain{cert.UniformDomain(3, 1), {}}, "core: move 1 domain covers 3 nodes, graph has 2"},
 	} {
 		_, err := certParity(Pi(2)).StrategyGameValueEngine(prep, tt.strategies, tt.domains, Engine{Opts: search.Sequential()})
 		if err == nil || err.Error() != tt.want {
 			t.Errorf("err = %v, want %q", err, tt.want)
+		}
+	}
+}
+
+// TestGameDomainChecks: an exhaustive game is refused before any leaf
+// runs unless it has one domain per move, each with one entry per node;
+// a short domain used to index past its end inside a leaf (a panic,
+// which under a parallel pool takes the process down).
+func TestGameDomainChecks(t *testing.T) {
+	t.Parallel()
+	g := graph.Path(4).MustWithLabels([]string{"0", "1", "1", "0"})
+	prep, err := simulate.Prepare(g, graph.GloballyUnique(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	four := cert.UniformDomain(4, 1)
+	for _, tt := range []struct {
+		domains []cert.Domain
+		want    string
+	}{
+		{[]cert.Domain{four}, "core: 1 domains for level Σ^lp_2"},
+		{[]cert.Domain{cert.UniformDomain(3, 1), four}, "core: move 1 domain covers 3 nodes, graph has 4"},
+		{[]cert.Domain{four, cert.UniformDomain(6, 1)}, "core: move 2 domain covers 6 nodes, graph has 4"},
+	} {
+		for _, e := range []Engine{Reference(), {Opts: search.Sequential()}} {
+			_, err := certParity(Sigma(2)).GameValueEngine(prep, tt.domains, e)
+			if err == nil || err.Error() != tt.want {
+				t.Errorf("err = %v, want %q", err, tt.want)
+			}
 		}
 	}
 }

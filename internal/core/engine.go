@@ -9,7 +9,8 @@ import (
 // Engine configures one game evaluation: the search options of the
 // worker pool plus the two optimization layers on top of it, the
 // whole-game memo (Memo) and pooled leaves (on unless NoPool).
-// Engine{Opts: o} is what GameValueOpt and StrategyGameValueOpt run;
+// The zero Engine{} is the package default (parallel across all CPUs,
+// pooled leaves, no memo) and Engine{Opts: o} selects the worker pool;
 // Reference() turns every layer off and is the equivalence baseline the
 // core parity and property tests compare against.
 //

@@ -87,12 +87,12 @@ func TestGameValueParallelMatchesSequential(t *testing.T) {
 	t.Parallel()
 	for _, tt := range coreParityCases() {
 		id := graph.GloballyUnique(tt.g)
-		want, err := tt.arb.GameValueOpt(tt.g, id, tt.domains, search.Sequential())
+		want, err := gameValue(tt.arb, tt.g, id, tt.domains, Engine{Opts: search.Sequential()})
 		if err != nil {
 			t.Fatalf("%s sequential: %v", tt.name, err)
 		}
 		for _, workers := range []int{0, 4} {
-			got, err := tt.arb.GameValueOpt(tt.g, id, tt.domains, search.Parallel(workers))
+			got, err := gameValue(tt.arb, tt.g, id, tt.domains, Engine{Opts: search.Parallel(workers)})
 			if err != nil {
 				t.Fatalf("%s parallel(%d): %v", tt.name, workers, err)
 			}
@@ -113,20 +113,20 @@ func TestGameValueOptAgreesWithGroundTruth(t *testing.T) {
 	domains := []cert.Domain{cert.UniformDomain(4, 1)}
 	for _, o := range []search.Options{search.Sequential(), search.Parallel(4)} {
 		// Eve matches each label with a 1-bit certificate.
-		ok, err := certEqualsLabel(Sigma(1)).GameValueOpt(p4, id, domains, o)
+		ok, err := gameValue(certEqualsLabel(Sigma(1)), p4, id, domains, Engine{Opts: o})
 		if err != nil || !ok {
 			t.Fatalf("Σ1 should hold: %v %v", ok, err)
 		}
 		// Adam exhibits a mismatching certificate.
-		ok, err = certEqualsLabel(Pi(1)).GameValueOpt(p4, id, domains, o)
+		ok, err = gameValue(certEqualsLabel(Pi(1)), p4, id, domains, Engine{Opts: o})
 		if err != nil || ok {
 			t.Fatalf("Π1 should fail: %v %v", ok, err)
 		}
 		// ∃κ1∀κ2∃κ3: Eve's κ3(u) = κ1(u)⊕κ2(u)⊕label(u) always exists
 		// once κ1, κ2 are single bits — but Adam can play an invalid κ2
 		// (e.g. the empty string), which no κ3 repairs, so Σ3 is false.
-		ok, err = tripleParity(Sigma(3)).GameValueOpt(p4, id,
-			[]cert.Domain{cert.UniformDomain(4, 1), cert.UniformDomain(4, 1), cert.UniformDomain(4, 1)}, o)
+		ok, err = gameValue(tripleParity(Sigma(3)), p4, id,
+			[]cert.Domain{cert.UniformDomain(4, 1), cert.UniformDomain(4, 1), cert.UniformDomain(4, 1)}, Engine{Opts: o})
 		if err != nil || ok {
 			t.Fatalf("Σ3 triple parity should fail: %v %v", ok, err)
 		}
@@ -172,7 +172,11 @@ func TestStrategyGameValueParallelMatchesSequential(t *testing.T) {
 	strategies := []Strategy{nil, answer}
 	domains := []cert.Domain{cert.UniformDomain(4, 1), {}}
 
-	want, err := arb.StrategyGameValueOpt(p4, id, strategies, domains, search.Sequential())
+	prep, err := simulate.Prepare(p4, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := arb.StrategyGameValueEngine(prep, strategies, domains, Engine{Opts: search.Sequential()})
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
@@ -180,7 +184,7 @@ func TestStrategyGameValueParallelMatchesSequential(t *testing.T) {
 		t.Fatal("Eve's answering strategy should win the Π2 game")
 	}
 	for _, workers := range []int{0, 4} {
-		got, err := arb.StrategyGameValueOpt(p4, id, strategies, domains, search.Parallel(workers))
+		got, err := arb.StrategyGameValueEngine(prep, strategies, domains, Engine{Opts: search.Parallel(workers)})
 		if err != nil {
 			t.Fatalf("parallel(%d): %v", workers, err)
 		}

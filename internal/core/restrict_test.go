@@ -111,12 +111,12 @@ func TestRelativizedGameEqualsRestrictedGame(t *testing.T) {
 
 		mc := Relativize(matchMachine(), Sigma(1), []Restrictor{oneBitRestrictor(1)}, 1)
 		arbLoose := &Arbiter{Machine: mc, Level: Sigma(1), RadiusID: 1, Bound: cert.Bound{R: 1, P: cert.Polynomial{8}}}
-		got, err := arbLoose.GameValue(g, id, loose)
+		got, err := gameValue(arbLoose, g, id, loose, Engine{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		arbStrict := &Arbiter{Machine: matchMachine(), Level: Sigma(1), RadiusID: 1, Bound: cert.Bound{R: 1, P: cert.Polynomial{8}}}
-		want, err := arbStrict.GameValue(g, id, strict)
+		want, err := gameValue(arbStrict, g, id, strict, Engine{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestRelativizedGameEqualsRestrictedGame(t *testing.T) {
 					main = noEqualOnes()
 				}
 				raw := &Arbiter{Machine: main, Level: level, RadiusID: 1}
-				want, err := raw.GameValue(g, id, []cert.Domain{strict})
+				want, err := gameValue(raw, g, id, []cert.Domain{strict}, Engine{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -165,7 +165,7 @@ func TestRelativizedGameEqualsRestrictedGame(t *testing.T) {
 				for extra := 1; extra <= 2; extra++ {
 					mc := Relativize(main, level, []Restrictor{atMostOneBit(1)}, extra)
 					rel := &Arbiter{Machine: mc, Level: level, RadiusID: 1}
-					got, err := rel.GameValue(g, id, []cert.Domain{loose})
+					got, err := gameValue(rel, g, id, []cert.Domain{loose}, Engine{})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -3,13 +3,15 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/search"
 )
 
 // TestAllExperiments asserts that every figure/example experiment in the
 // repository's index reproduces the paper's claims.
 func TestAllExperiments(t *testing.T) {
 	t.Parallel()
-	for _, rep := range All() {
+	for _, rep := range All(search.Default()) {
 		rep := rep
 		t.Run(rep.ID, func(t *testing.T) {
 			if !rep.OK() {
@@ -34,7 +36,7 @@ func TestReportString(t *testing.T) {
 
 func TestProposition24RejectsEvenN(t *testing.T) {
 	t.Parallel()
-	if _, err := Proposition24(8, nil); err == nil {
+	if _, err := Proposition24(8, nil, search.Default()); err == nil {
 		t.Fatal("even n accepted")
 	}
 }

@@ -20,32 +20,32 @@ import (
 
 // Figure1 reproduces Example 1 / Figure 1: the left graph is 3-colorable
 // but not 3-round 3-colorable (Adam wins), the right one is both (Eve
-// wins).
-func Figure1() *Report { return Figure1Opt(search.Default()) }
-
-// Figure1Opt is Figure1 with the minimax evaluations on the given
-// engine.
-func Figure1Opt(o search.Options) *Report {
+// wins). The minimax evaluations run on the engine o.
+func Figure1(o search.Options) *Report {
 	r := &Report{ID: "Figure 1", Title: "3-round 3-colorability game"}
 	no := graph.Figure1NoInstance()
 	yes := graph.Figure1YesInstance()
-	r.Rows = append(r.Rows,
-		row("(a) 3-colorable", true, props.ThreeColorable(no)),
-		row("(a) 3-round 3-colorable", false, props.ThreeRoundThreeColorableOpt(no, o)),
-		row("(b) 3-colorable", true, props.ThreeColorable(yes)),
-		row("(b) 3-round 3-colorable", true, props.ThreeRoundThreeColorableOpt(yes, o)),
-	)
+	for _, tt := range []struct {
+		name string
+		g    *graph.Graph
+		want bool
+	}{{"(a)", no, false}, {"(b)", yes, true}} {
+		r.Rows = append(r.Rows, row(tt.name+" 3-colorable", true, props.ThreeColorable(tt.g)))
+		won, err := props.ThreeRoundThreeColorable(tt.g, o)
+		var measured any = won
+		if err != nil {
+			measured = err
+		}
+		r.Rows = append(r.Rows, row(tt.name+" 3-round 3-colorable", tt.want, measured))
+	}
 	return r
 }
 
 // Figure3Hamiltonian reproduces Figures 3/10 (Proposition 19): the
 // all-selected → hamiltonian reduction on the figure's 4-node graph and on
-// exhaustive labelings of small topologies.
-func Figure3Hamiltonian() *Report { return Figure3HamiltonianOpt(search.Default()) }
-
-// Figure3HamiltonianOpt is Figure3Hamiltonian with the labeling sweep
-// sharded across the engine pool.
-func Figure3HamiltonianOpt(o search.Options) *Report {
+// exhaustive labelings of small topologies, the labeling sweep sharded
+// across the engine pool.
+func Figure3Hamiltonian(o search.Options) *Report {
 	r := &Report{ID: "Figure 3", Title: "all-selected ≤lp hamiltonian (Prop. 19)"}
 	red := reduce.AllSelectedToHamiltonian()
 	fig := graph.MustNew(4, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 3}, {U: 2, V: 3}}, nil)
@@ -73,12 +73,9 @@ func Figure3HamiltonianOpt(o search.Options) *Report {
 	return r
 }
 
-// Figure9Eulerian reproduces Figure 9 (Proposition 18).
-func Figure9Eulerian() *Report { return Figure9EulerianOpt(search.Default()) }
-
-// Figure9EulerianOpt is Figure9Eulerian with the labeling sweep sharded
-// across the engine pool.
-func Figure9EulerianOpt(o search.Options) *Report {
+// Figure9Eulerian reproduces Figure 9 (Proposition 18), the labeling
+// sweep sharded across the engine pool.
+func Figure9Eulerian(o search.Options) *Report {
 	r := &Report{ID: "Figure 9", Title: "all-selected ≤lp eulerian (Prop. 18)"}
 	red := reduce.AllSelectedToEulerian()
 	g := graph.Path(3).MustWithLabels([]string{"1", "1", "0"})
@@ -97,12 +94,9 @@ func Figure9EulerianOpt(o search.Options) *Report {
 	return r
 }
 
-// Figure11CoHamiltonian reproduces Figure 11 (Proposition 20).
-func Figure11CoHamiltonian() *Report { return Figure11CoHamiltonianOpt(search.Default()) }
-
-// Figure11CoHamiltonianOpt is Figure11CoHamiltonian with the labeling
-// sweep sharded across the engine pool.
-func Figure11CoHamiltonianOpt(o search.Options) *Report {
+// Figure11CoHamiltonian reproduces Figure 11 (Proposition 20), the
+// labeling sweep sharded across the engine pool.
+func Figure11CoHamiltonian(o search.Options) *Report {
 	r := &Report{ID: "Figure 11", Title: "not-all-selected ≤lp hamiltonian (Prop. 20)"}
 	red := reduce.NotAllSelectedToHamiltonian()
 	fig := graph.Path(3).MustWithLabels([]string{"1", "1", "0"})
@@ -238,13 +232,11 @@ func Figure6Pictures() *Report {
 }
 
 // Figure8TuringMachine reproduces Figure 8: the faithful three-tape
-// distributed TM, cross-validated against the functional engine.
-func Figure8TuringMachine() *Report { return Figure8TuringMachineOpt(search.Default()) }
-
-// Figure8TuringMachineOpt is Figure8TuringMachine with the exhaustive
-// labeling cross-check sharded across the engine pool (one TM run plus
-// one engine run per instance; errors count as mismatches).
-func Figure8TuringMachineOpt(o search.Options) *Report {
+// distributed TM, cross-validated against the functional engine, with
+// the exhaustive labeling cross-check sharded across the engine pool
+// (one TM run plus one engine run per instance; errors count as
+// mismatches).
+func Figure8TuringMachine(o search.Options) *Report {
 	r := &Report{ID: "Figure 8", Title: "distributed Turing machines"}
 	tm := dtm.AllSelectedMachine()
 	fn := arbiters.AllSelected()
@@ -281,17 +273,14 @@ func Figure8TuringMachineOpt(o search.Options) *Report {
 
 // Figure7Ladder reproduces the locality ladder of Figure 7: each property
 // is placed at its level by running the corresponding arbiter/game from
-// the paper on instance sweeps.
-func Figure7Ladder() *Report { return Figure7LadderOpt(search.Default()) }
-
-// Figure7LadderOpt is Figure7Ladder with every sweep expressed as a
-// Sweep sharded across the engine pool. The instance is the unit of
-// parallelism: each check plays its whole game on the sequential inner
-// engine (the Prepared.Batch discipline), so the pool is saturated by
-// instances rather than by one game's quantifier levels.
-func Figure7LadderOpt(o search.Options) *Report {
+// the paper on instance sweeps. Every sweep is a Sweep sharded across the
+// engine pool. The instance is the unit of parallelism: each check plays
+// its whole game on the sequential inner engine (the Prepared.Batch
+// discipline), so the pool is saturated by instances rather than by one
+// game's quantifier levels.
+func Figure7Ladder(o search.Options) *Report {
 	r := &Report{ID: "Figure 7", Title: "locality ladder: properties at their levels"}
-	inner := search.Sequential()
+	inner := core.Engine{Opts: search.Sequential()}
 
 	// strategyCheck plays the three-level certificate game with Eve's
 	// strategies on the uniform middle domain and compares against the
@@ -299,7 +288,11 @@ func Figure7LadderOpt(o search.Options) *Report {
 	strategyCheck := func(arb func() *core.Arbiter, strats func() []core.Strategy,
 		truth func(*graph.Graph) bool) func(*graph.Graph) bool {
 		return func(g *graph.Graph) bool {
-			ok, err := arb().StrategyGameValueOpt(g, graph.SmallLocallyUnique(g, 1), strats(),
+			prep, err := simulate.Prepare(g, graph.SmallLocallyUnique(g, 1))
+			if err != nil {
+				return false
+			}
+			ok, err := arb().StrategyGameValueEngine(prep, strats(),
 				[]cert.Domain{{}, cert.UniformDomain(g.N(), 1), {}}, inner)
 			return err == nil && ok == truth(g)
 		}
@@ -321,7 +314,11 @@ func Figure7LadderOpt(o search.Options) *Report {
 			[]*graph.Graph{graph.Cycle(5), graph.Complete(4), graph.Grid(2, 3), graph.Star(4)},
 			func(g *graph.Graph) bool {
 				arb := &core.Arbiter{Machine: arbiters.ThreeColorable(), Level: core.Sigma(1), RadiusID: 1, Bound: cert.Bound{R: 1, P: cert.Polynomial{0, 2}}}
-				ok, err := arb.StrategyGameValueOpt(g, graph.SmallLocallyUnique(g, 1),
+				prep, err := simulate.Prepare(g, graph.SmallLocallyUnique(g, 1))
+				if err != nil {
+					return false
+				}
+				ok, err := arb.StrategyGameValueEngine(prep,
 					[]core.Strategy{arbiters.ColoringStrategy(3)}, []cert.Domain{{}}, inner)
 				return err == nil && ok == props.ThreeColorable(g)
 			})},

@@ -139,16 +139,12 @@ func bipartiteEdgeSet(edges map[string]bool) bool {
 // copies are far apart). For every machine the verdict vectors agree —
 // although 2-colorability differs — so none of them (and provably no LP
 // machine) decides 2-colorability.
-func Proposition24(n int, machines []*simulate.Machine) (*Report, error) {
-	return Proposition24Opt(n, machines, search.Default())
-}
-
-// Proposition24Opt is Proposition24 with the machine runs batched
-// through the simulation scheduler: each cycle is prepared once (one
-// neighbor-order/slot-map computation per instance) and all machines run
-// against it across the engine's worker pool. The report rows keep the
-// machine order.
-func Proposition24Opt(n int, machines []*simulate.Machine, o search.Options) (*Report, error) {
+//
+// The machine runs are batched through the simulation scheduler: each
+// cycle is prepared once (one neighbor-order/slot-map computation per
+// instance) and all machines run against it across the engine's worker
+// pool. The report rows keep the machine order.
+func Proposition24(n int, machines []*simulate.Machine, o search.Options) (*Report, error) {
 	if n%2 == 0 {
 		return nil, fmt.Errorf("experiments: n must be odd, got %d", n)
 	}
@@ -355,22 +351,15 @@ func lcm(a, b int) int {
 	return a / g * b
 }
 
-// Figure2Separations bundles the two ground-level separation experiments,
-// run concurrently on the package default engine (parallel across all
-// CPUs); Figure2SeparationsOpt selects the engine.
-func Figure2Separations() *Report {
-	return Figure2SeparationsOpt(search.Default())
-}
-
-// Figure2SeparationsOpt is Figure2Separations under explicit search
-// options: the two propositions are independent tasks, and Proposition
-// 24's machine runs fan out through a nested Map of their own. Each Map
-// spawns its own goroutines, so a parallel engine briefly runs up to
-// pool()+1 tasks — a deliberate trade: these are a handful of
-// coarse-grained runs, and GOMAXPROCS still bounds the running threads.
-// The report is assembled in the fixed sequential order regardless of
-// the engine.
-func Figure2SeparationsOpt(o search.Options) *Report {
+// Figure2Separations bundles the two ground-level separation
+// experiments under the engine o: the two propositions are independent
+// tasks, and Proposition 24's machine runs fan out through a nested Map
+// of their own. Each Map spawns its own goroutines, so a parallel engine
+// briefly runs up to pool()+1 tasks — a deliberate trade: these are a
+// handful of coarse-grained runs, and GOMAXPROCS still bounds the running
+// threads. The report is assembled in the fixed sequential order
+// regardless of the engine.
+func Figure2Separations(o search.Options) *Report {
 	out := &Report{ID: "Figure 2", Title: "hierarchy separations at ground level"}
 	type result struct {
 		r   *Report
@@ -378,7 +367,7 @@ func Figure2SeparationsOpt(o search.Options) *Report {
 	}
 	results := search.Map(o, 2, func(i int) result {
 		if i == 0 {
-			r, err := Proposition24Opt(9, []*simulate.Machine{
+			r, err := Proposition24(9, []*simulate.Machine{
 				arbiters.Eulerian(),
 				arbiters.AllEqual(),
 				edgeGatherer(1),

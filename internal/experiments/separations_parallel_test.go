@@ -10,8 +10,8 @@ import (
 // fanned-out separation experiments produce exactly the sequential
 // report (same rows, same order, same verdicts) and still pass.
 func TestFigure2SeparationsParallelMatchesSequential(t *testing.T) {
-	seq := Figure2SeparationsOpt(search.Sequential())
-	par := Figure2SeparationsOpt(search.Parallel(0))
+	seq := Figure2Separations(search.Sequential())
+	par := Figure2Separations(search.Parallel(0))
 	if !seq.OK() {
 		t.Fatal("sequential Figure 2 report not OK:\n" + seq.String())
 	}

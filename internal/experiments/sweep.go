@@ -15,7 +15,7 @@ import (
 // checks scheduled across the search worker pool. The unit of
 // parallelism is the instance, and it is the ONLY fan-out level: each
 // check runs its game on the sequential inner engine (exactly as
-// Prepared.Batch runs one job per worker) and the suite (AllOpt) runs
+// Prepared.Batch runs one job per worker) and the suite (All) runs
 // its experiments in index order, so a whole suite saturates the pool
 // with instances while never exceeding the worker budget. Checks are
 // pure and failure counting is order-independent, which makes the
@@ -102,8 +102,7 @@ func SweepReduction(red reduce.Reduction, idGen func(*graph.Graph) graph.IDAssig
 }
 
 // Spec is one experiment of the suite: a stable slug (the name used by
-// `lph sweep`, the figures/exptimer `-only` filters, and the jobs API),
-// a title, and an engine-aware runner.
+// `lph sweep` and the jobs API), a title, and an engine-aware runner.
 type Spec struct {
 	ID    string
 	Title string
@@ -119,16 +118,16 @@ func ignoreEngine(f func() *Report) func(search.Options) *Report {
 // Index lists every experiment in the repository's canonical order.
 func Index() []Spec {
 	return []Spec{
-		{"figure1", "3-round 3-colorability game", Figure1Opt},
-		{"figure2", "hierarchy separations at ground level", Figure2SeparationsOpt},
-		{"figure3", "all-selected ≤lp hamiltonian (Prop. 19)", Figure3HamiltonianOpt},
+		{"figure1", "3-round 3-colorability game", Figure1},
+		{"figure2", "hierarchy separations at ground level", Figure2Separations},
+		{"figure3", "all-selected ≤lp hamiltonian (Prop. 19)", Figure3Hamiltonian},
 		{"figure4", "sat-graph ≤lp 3-colorable (Thm. 23)", ignoreEngine(Figure4Colorability)},
 		{"figure5", "structural representation $G", ignoreEngine(Figure5Structure)},
 		{"figure6", "pictures, $P, and tiling systems", ignoreEngine(Figure6Pictures)},
-		{"figure7", "locality ladder: properties at their levels", Figure7LadderOpt},
-		{"figure8", "distributed Turing machines", Figure8TuringMachineOpt},
-		{"figure9", "all-selected ≤lp eulerian (Prop. 18)", Figure9EulerianOpt},
-		{"figure11", "not-all-selected ≤lp hamiltonian (Prop. 20)", Figure11CoHamiltonianOpt},
+		{"figure7", "locality ladder: properties at their levels", Figure7Ladder},
+		{"figure8", "distributed Turing machines", Figure8TuringMachine},
+		{"figure9", "all-selected ≤lp eulerian (Prop. 18)", Figure9Eulerian},
+		{"figure11", "not-all-selected ≤lp hamiltonian (Prop. 20)", Figure11CoHamiltonian},
 		{"examples", "worked formula examples", ignoreEngine(ExampleFormulas)},
 		{"fagin", "Fagin-style cross-validation (Thm. 14)", ignoreEngine(FaginCrossValidation)},
 		{"cook-levin", "Cook–Levin τ-translation (Thm. 22)", ignoreEngine(CookLevin)},
@@ -146,14 +145,14 @@ func FindSpec(id string) (Spec, bool) {
 	return Spec{}, false
 }
 
-// AllOpt runs the whole experiment suite on the engine, in index
+// All runs the whole experiment suite on the engine, in index
 // order. Exactly one level fans out: each experiment's instance sweeps
 // shard across the pool, while the experiments themselves run one
 // after another — so the pool never exceeds o's worker budget (nested
 // Map calls would multiply it) and the reports come back in index
 // order with rows identical to the sequential run's (every sweep is a
 // Sweep of pure checks).
-func AllOpt(o search.Options) []*Report {
+func All(o search.Options) []*Report {
 	specs := Index()
 	out := make([]*Report, len(specs))
 	for i, s := range specs {

@@ -17,8 +17,8 @@ import (
 // (run under -race by make check).
 func TestAllOptEngineParity(t *testing.T) {
 	t.Parallel()
-	seq := AllOpt(search.Sequential())
-	par := AllOpt(search.Parallel(4))
+	seq := All(search.Sequential())
+	par := All(search.Parallel(4))
 	if len(seq) != len(par) {
 		t.Fatalf("suite sizes differ: %d vs %d", len(seq), len(par))
 	}

@@ -8,6 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/props"
+	"repro/internal/search"
+	"repro/internal/simulate"
 )
 
 // forEachLabeling runs f on g with every single-bit labeling.
@@ -161,7 +163,7 @@ func TestEveWinsPointsToMatchesGroundTruth(t *testing.T) {
 		}
 		forEachLabeling(base, func(g *graph.Graph) {
 			want := props.NotAllSelected(g)
-			if got := EveWinsPointsTo(g, IsUnselected); got != want {
+			if got := EveWinsPointsTo(g, IsUnselected, search.Default()); got != want {
 				t.Fatalf("%v: EveWinsPointsTo = %v, want %v", g, got, want)
 			}
 		})
@@ -178,7 +180,7 @@ func TestEveWinsPointsToUniqueMatchesGroundTruth(t *testing.T) {
 		}
 		forEachLabeling(base, func(g *graph.Graph) {
 			want := props.OneSelected(g)
-			if got := EveWinsPointsToUnique(g, IsSelected); got != want {
+			if got := EveWinsPointsToUnique(g, IsSelected, search.Default()); got != want {
 				t.Fatalf("%v: EveWinsPointsToUnique = %v, want %v", g, got, want)
 			}
 		})
@@ -198,7 +200,7 @@ func TestEveWinsHamiltonianMatchesGroundTruth(t *testing.T) {
 	}
 	for _, g := range tops {
 		want := props.Hamiltonian(g)
-		if got := EveWinsHamiltonian(g); got != want {
+		if got := EveWinsHamiltonian(g, search.Default()); got != want {
 			t.Fatalf("%v: EveWinsHamiltonian = %v, want %v", g, got, want)
 		}
 	}
@@ -245,12 +247,15 @@ func TestHamiltonianPathParents(t *testing.T) {
 // all of Adam's challenge bit assignments.
 func strategyVerdict(t *testing.T, arb *core.Arbiter, g *graph.Graph, move1, move3 core.Strategy) bool {
 	t.Helper()
-	id := graph.SmallLocallyUnique(g, 1)
-	ok, err := arb.StrategyGameValue(g, id,
-		[]core.Strategy{move1, nil, move3},
-		[]cert.Domain{{}, cert.UniformDomain(g.N(), 1), {}})
+	prep, err := simulate.Prepare(g, graph.SmallLocallyUnique(g, 1))
 	if err != nil {
-		t.Fatalf("StrategyGameValue: %v", err)
+		t.Fatal(err)
+	}
+	ok, err := arb.StrategyGameValueEngine(prep,
+		[]core.Strategy{move1, nil, move3},
+		[]cert.Domain{{}, cert.UniformDomain(g.N(), 1), {}}, core.Engine{})
+	if err != nil {
+		t.Fatalf("StrategyGameValueEngine: %v", err)
 	}
 	return ok
 }
@@ -319,9 +324,13 @@ func TestAdamCatchesCheatingEve(t *testing.T) {
 	cheat := core.Strategy(func(g *graph.Graph, id graph.IDAssignment, _ []cert.Assignment) (cert.Assignment, error) {
 		return encodeParents(Parents{1, 2, 0}, id), nil
 	})
-	ok, err := arb.StrategyGameValue(g, id,
+	prep, err := simulate.Prepare(g, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := arb.StrategyGameValueEngine(prep,
 		[]core.Strategy{cheat, nil, ChargeStrategy(nil)},
-		[]cert.Domain{{}, cert.UniformDomain(3, 1), {}})
+		[]cert.Domain{{}, cert.UniformDomain(3, 1), {}}, core.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}

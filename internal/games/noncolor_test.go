@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/props"
+	"repro/internal/simulate"
 )
 
 func TestOddCycle(t *testing.T) {
@@ -69,10 +70,13 @@ func TestNonTwoColorableArbiter(t *testing.T) {
 	}
 	for _, g := range graphs {
 		want := props.NonTwoColorable(g)
-		id := graph.SmallLocallyUnique(g, 1)
-		got, err := arb.StrategyGameValue(g, id,
+		prep, err := simulate.Prepare(g, graph.SmallLocallyUnique(g, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := arb.StrategyGameValueEngine(prep,
 			[]core.Strategy{NonTwoColorableStrategy(), nil, NonTwoColorChargeStrategy()},
-			[]cert.Domain{{}, cert.UniformDomain(g.N(), 1), {}})
+			[]cert.Domain{{}, cert.UniformDomain(g.N(), 1), {}}, core.Engine{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,9 +109,13 @@ func TestNonTwoColorableRejectsEvenCycleClaim(t *testing.T) {
 		}
 		return out, nil
 	})
-	ok, err := NonTwoColorableArbiter().StrategyGameValue(g, id,
+	prep, err := simulate.Prepare(g, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := NonTwoColorableArbiter().StrategyGameValueEngine(prep,
 		[]core.Strategy{cheat, nil, NonTwoColorChargeStrategy()},
-		[]cert.Domain{{}, cert.UniformDomain(4, 1), {}})
+		[]cert.Domain{{}, cert.UniformDomain(4, 1), {}}, core.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}

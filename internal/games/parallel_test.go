@@ -29,15 +29,15 @@ func TestParallelGamesMatchSequential(t *testing.T) {
 	par := search.Parallel(0)
 	games := map[string]func(*graph.Graph, search.Options) bool{
 		"PointsTo[unselected]": func(g *graph.Graph, o search.Options) bool {
-			return EveWinsPointsToOpt(g, IsUnselected, o)
+			return EveWinsPointsTo(g, IsUnselected, o)
 		},
 		"PointsTo[selected]": func(g *graph.Graph, o search.Options) bool {
-			return EveWinsPointsToOpt(g, IsSelected, o)
+			return EveWinsPointsTo(g, IsSelected, o)
 		},
 		"PointsToUnique[selected]": func(g *graph.Graph, o search.Options) bool {
-			return EveWinsPointsToUniqueOpt(g, IsSelected, o)
+			return EveWinsPointsToUnique(g, IsSelected, o)
 		},
-		"Hamiltonian": EveWinsHamiltonianOpt,
+		"Hamiltonian": EveWinsHamiltonian,
 	}
 	for gname, g := range parityGraphs() {
 		for name, game := range games {
@@ -58,8 +58,8 @@ func TestParallelNonKColorableMatchesSequential(t *testing.T) {
 		"C3": graph.Cycle(3),
 	} {
 		for _, k := range []int{2, 3} {
-			want := EveWinsNonKColorableOpt(g, k, search.Sequential())
-			if got := EveWinsNonKColorableOpt(g, k, search.Parallel(0)); got != want {
+			want := EveWinsNonKColorable(g, k, search.Sequential())
+			if got := EveWinsNonKColorable(g, k, search.Parallel(0)); got != want {
 				t.Errorf("NonKColorable(k=%d) on %s: parallel=%v sequential=%v", k, gname, got, want)
 			}
 			colorable := k >= 3 || gname == "P2"

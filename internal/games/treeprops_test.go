@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/props"
+	"repro/internal/simulate"
 )
 
 // TestEveWinsAcyclicMatchesGroundTruth: the acyclic spanning-tree game of
@@ -73,12 +74,15 @@ func TestSubtreeParities(t *testing.T) {
 
 func sigma3Verdict(t *testing.T, arb *core.Arbiter, g *graph.Graph, move1, move3 core.Strategy) bool {
 	t.Helper()
-	id := graph.SmallLocallyUnique(g, 1)
-	ok, err := arb.StrategyGameValue(g, id,
-		[]core.Strategy{move1, nil, move3},
-		[]cert.Domain{{}, cert.UniformDomain(g.N(), 1), {}})
+	prep, err := simulate.Prepare(g, graph.SmallLocallyUnique(g, 1))
 	if err != nil {
-		t.Fatalf("StrategyGameValue: %v", err)
+		t.Fatal(err)
+	}
+	ok, err := arb.StrategyGameValueEngine(prep,
+		[]core.Strategy{move1, nil, move3},
+		[]cert.Domain{{}, cert.UniformDomain(g.N(), 1), {}}, core.Engine{})
+	if err != nil {
+		t.Fatalf("StrategyGameValueEngine: %v", err)
 	}
 	return ok
 }
@@ -154,9 +158,13 @@ func TestOddArbiterRejectsForgedParity(t *testing.T) {
 		}
 		return out, nil
 	})
-	ok, err := OddArbiter().StrategyGameValue(g, id,
+	prep, err := simulate.Prepare(g, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := OddArbiter().StrategyGameValueEngine(prep,
 		[]core.Strategy{forged, nil, oddChargeStrategy()},
-		[]cert.Domain{{}, cert.UniformDomain(2, 1), {}})
+		[]cert.Domain{{}, cert.UniformDomain(2, 1), {}}, core.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}

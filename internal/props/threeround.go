@@ -1,6 +1,8 @@
 package props
 
 import (
+	"sync"
+
 	"repro/internal/graph"
 	"repro/internal/search"
 )
@@ -10,25 +12,18 @@ import (
 // colors of all degree-1 nodes, then Adam chooses the colors of all
 // degree-2 nodes, and finally Eve chooses the colors of all remaining
 // nodes. The graph has the property iff Eve can always force a proper
-// 3-coloring. Exhaustive minimax over the three color blocks, run on
-// the package default engine (parallel across all CPUs);
-// ThreeRoundThreeColorableOpt selects the engine.
-func ThreeRoundThreeColorable(g *graph.Graph) bool {
-	return ThreeRoundThreeColorableOpt(g, search.Default())
-}
-
-// ThreeRoundThreeColorableOpt is ThreeRoundThreeColorable under explicit
-// search options. The pool is handed to exactly one minimax level:
-// Eve's opening block (the outermost existential) when it is large
-// enough to split, otherwise Adam's block — each worker evaluates the
-// levels below it sequentially on worker-local color state. On
-// instances where every block is tiny (e.g. both Figure 1 graphs, whose
-// spaces are 3·9·27 assignments) the engine's small-space fallback
-// makes both engines take the same sequential path. Do not set
-// Options.Ctx here: on cancellation the Boolean returned is meaningless
-// and the error flagging it is discarded — callers needing cancellation
-// should drive the search package directly.
-func ThreeRoundThreeColorableOpt(g *graph.Graph, o search.Options) bool {
+// 3-coloring. Exhaustive minimax over the three color blocks on the
+// engine o.
+//
+// The pool is handed to exactly one minimax level: Eve's opening block
+// (the outermost existential) when it is large enough to split,
+// otherwise Adam's block — each worker evaluates the levels below it
+// sequentially on worker-local color state. On instances where every
+// block is tiny (e.g. both Figure 1 graphs, whose spaces are 3·9·27
+// assignments) the engine's small-space fallback makes both engines take
+// the same sequential path. A cancelled Options.Ctx at either searched
+// level is returned as the error, never as a verdict.
+func ThreeRoundThreeColorable(g *graph.Graph, o search.Options) (bool, error) {
 	t := newThreeRoundGame(g)
 	outerSpace := search.Uniform(len(t.deg1), 3)
 	outerOpts := o
@@ -38,7 +33,11 @@ func ThreeRoundThreeColorableOpt(g *graph.Graph, o search.Options) bool {
 	} else {
 		outerOpts.Workers = 1
 	}
-	won, _ := search.Exists(outerOpts, outerSpace, func(asm []int) bool {
+	var (
+		errOnce sync.Once
+		adamErr error
+	)
+	won, err := search.Exists(outerOpts, outerSpace, func(asm []int) bool {
 		colors, put := t.scratch.Get()
 		defer put()
 		for i := range colors {
@@ -47,9 +46,21 @@ func ThreeRoundThreeColorableOpt(g *graph.Graph, o search.Options) bool {
 		for i, u := range t.deg1 {
 			colors[u] = asm[i]
 		}
-		return !t.adamStuck(adamOpts, colors)
+		stuck, err := t.adamStuck(adamOpts, colors)
+		if err != nil {
+			// End the outer search: its verdict is void either way.
+			errOnce.Do(func() { adamErr = err })
+			return true
+		}
+		return !stuck
 	})
-	return won
+	if err == nil {
+		err = adamErr
+	}
+	if err != nil {
+		return false, err
+	}
+	return won, nil
 }
 
 // threeRoundGame is the immutable part of the minimax: the graph, its
@@ -92,11 +103,12 @@ func (t *threeRoundGame) properSoFar(colors []int, nodes []int) bool {
 }
 
 // adamStuck reports whether some coloring of the degree-2 block leaves
-// Eve without a proper completion. colors carries Eve's opening block
-// and is never mutated: each (possibly concurrent) Adam coloring is
-// written to a pooled worker-local copy.
-func (t *threeRoundGame) adamStuck(o search.Options, colors []int) bool {
-	stuck, _ := search.Exists(o, search.Uniform(len(t.deg2), 3), func(asm []int) bool {
+// Eve without a proper completion, or the search's cancellation error.
+// colors carries Eve's opening block and is never mutated: each
+// (possibly concurrent) Adam coloring is written to a pooled
+// worker-local copy.
+func (t *threeRoundGame) adamStuck(o search.Options, colors []int) (bool, error) {
+	return search.Exists(o, search.Uniform(len(t.deg2), 3), func(asm []int) bool {
 		c, put := t.scratch.Get()
 		defer put()
 		copy(c, colors)
@@ -105,7 +117,6 @@ func (t *threeRoundGame) adamStuck(o search.Options, colors []int) bool {
 		}
 		return !t.eveFinishes(c)
 	})
-	return stuck
 }
 
 // eveFinishes reports whether some coloring of the remaining block

@@ -298,10 +298,14 @@ func Game(name string, o search.Options) ([]GameResult, error) {
 		{"Figure 1a", graph.Figure1NoInstance()},
 		{"Figure 1b", graph.Figure1YesInstance()},
 	} {
+		won, err := props.ThreeRoundThreeColorable(tt.g, o)
+		if err != nil {
+			return nil, err
+		}
 		out = append(out, GameResult{
 			Graph:               tt.name,
 			ThreeColorable:      props.ThreeColorable(tt.g),
-			ThreeRoundColorable: props.ThreeRoundThreeColorableOpt(tt.g, o),
+			ThreeRoundColorable: won,
 		})
 	}
 	return out, nil

@@ -87,6 +87,13 @@ var (
 // Strategy produces a player's certificate assignment.
 type Strategy = core.Strategy
 
+// Engine configures a game evaluation; the zero Engine is the default.
+type Engine = core.Engine
+
+// Prepare builds the simulation instance of (g, id) that the Arbiter's
+// game entry points play against.
+var Prepare = simulate.Prepare
+
 // CertAssignment is a certificate assignment κ.
 type CertAssignment = cert.Assignment
 

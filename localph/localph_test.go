@@ -30,8 +30,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 		RadiusID: 1,
 		Bound:    CertBound{R: 1, P: Polynomial{0, 2}},
 	}
-	ok, err = arb.StrategyGameValue(g, id,
-		[]Strategy{arbiters.ColoringStrategy(3)}, []cert.Domain{{}})
+	prep, err := Prepare(g, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err = arb.StrategyGameValueEngine(prep,
+		[]Strategy{arbiters.ColoringStrategy(3)}, []cert.Domain{{}}, Engine{})
 	if err != nil || !ok {
 		t.Fatalf("game = %v, %v", ok, err)
 	}
