@@ -131,7 +131,7 @@ func KColorable(k int) *simulate.Machine {
 				for i := range out {
 					out[i] = s.color
 				}
-				return out, false
+				return out, !s.ok
 			}
 			for _, m := range recv {
 				if m == s.color {
@@ -261,7 +261,7 @@ func SatGraph() *simulate.Machine {
 				for i := range out {
 					out[i] = s.enc
 				}
-				return out, false
+				return out, !s.ok
 			}
 			if !s.ok {
 				return nil, true

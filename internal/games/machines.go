@@ -165,7 +165,7 @@ func newPointsToMachine(name string, target LocalTarget, unique bool) *simulate.
 				for i := range out {
 					out[i] = msg
 				}
-				return out, false
+				return out, !s.ok
 			}
 			var neighbors []neighborInfo
 			for _, m := range recv {
@@ -428,7 +428,7 @@ func HamiltonianArbiter() *core.Arbiter {
 				for i := range out {
 					out[i] = bit(h.isLeaf) + "," + s.parentID
 				}
-				return out, false
+				return out, !s.ok
 			default:
 				// SeesLeafIfRoot: the root needs an adjacent leaf that is
 				// not its own child.

@@ -99,7 +99,7 @@ func NonTwoColorableArbiter() *core.Arbiter {
 				for i := range out {
 					out[i] = msg
 				}
-				return out, false
+				return out, !s.ok
 			}
 			var neighbors []neighborInfo
 			var cyc []oddCycleNeighbor

@@ -156,7 +156,7 @@ func AcyclicArbiter() *core.Arbiter {
 				for i := range out {
 					out[i] = msg
 				}
-				return out, false
+				return out, !s.ok
 			}
 			var neighbors []neighborInfo
 			for _, m := range recv {
@@ -238,7 +238,7 @@ func OddArbiter() *core.Arbiter {
 				for i := range out {
 					out[i] = msg
 				}
-				return out, false
+				return out, !s.ok
 			}
 			var neighbors []neighborInfo
 			sum := 0

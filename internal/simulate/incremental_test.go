@@ -85,6 +85,58 @@ func mixer(name string, late, maxHalt int, short bool) *Machine {
 	}
 }
 
+// earlyReject has the shape of a colouring verifier that checks each
+// node's own certificate first. A node whose first certificate is "0",
+// or that has none, rejects and halts in round 1, after sending it.
+// Every other node sends its certificate each round, halts in round 2
+// (3 under label "1"), and rejects when a message of that last round
+// equals its certificate. On a complete graph a low-index node can thus
+// reject in its last round, having read every certificate, while a
+// higher-index node rejected in round 1 on its own.
+func earlyReject() *Machine {
+	type st struct {
+		out  []string
+		last int
+		ok   bool
+	}
+	return &Machine{
+		Name: "test:early-reject",
+		Init: func(in Input) any {
+			s := &st{out: make([]string, in.Degree), last: 2, ok: len(in.Certs) > 0 && in.Certs[0] != "0"}
+			if len(in.Certs) > 0 {
+				for j := range s.out {
+					s.out[j] = in.Certs[0]
+				}
+			}
+			if in.Label == "1" {
+				s.last = 3
+			}
+			return s
+		},
+		Round: func(state any, round int, recv []string) ([]string, bool) {
+			s := state.(*st)
+			if !s.ok {
+				return s.out, true
+			}
+			if round < s.last {
+				return s.out, false
+			}
+			for _, m := range recv {
+				if m == s.out[0] {
+					s.ok = false
+				}
+			}
+			return nil, true
+		},
+		Output: func(state any) string {
+			if state.(*st).ok {
+				return "1"
+			}
+			return "0"
+		},
+	}
+}
+
 // byteSource hands out the bytes of a fuzz input, then zeros.
 type byteSource struct {
 	b []byte
@@ -148,6 +200,7 @@ func checkIncrementalSequence(t testing.TB, data []byte) keepRuns {
 		mixer("test:mixer-late", 3, 5, true),
 		mixer("test:mixer-short", 1, 2, true),
 		certParityAccept(),
+		earlyReject(),
 	}
 	m := machines[src.next()%len(machines)]
 	width := 1 + src.next()%2
@@ -311,6 +364,35 @@ func TestIncrementalRunSkipsUnreachedNodes(t *testing.T) {
 		}
 		if got := sc.NodeRuns() - runs; got != want {
 			t.Fatalf("run %d started %d nodes, want %d", i, got, want)
+		}
+	}
+}
+
+// TestDenseKeepIsSmallestRejectingBall: on K5 every node but node 3
+// holds certificate "1", so nodes 0, 1, 2 and 4 reject in round 2,
+// each having read every certificate, while node 3 rejects in round 1
+// on its own "0". Both passes keep the smallest rejecting ball, node 3
+// alone, so the keep is 4: the traced first run, and the dense second
+// one that follows a run whose rounds reached the diameter.
+func TestDenseKeepIsSmallestRejectingBall(t *testing.T) {
+	t.Parallel()
+	g := graph.Complete(5)
+	p, err := Prepare(g, graph.GloballyUnique(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, certs := earlyReject(), [][]string{{"1"}, {"1"}, {"1"}, {"0"}, {"1"}}
+	sc := p.NewScratch()
+	for _, path := range []string{"traced", "dense"} {
+		if dense := sc.rounds > 0 && sc.rounds-1 >= sc.diam; dense != (path == "dense") {
+			t.Fatalf("%s run: dense pass %v", path, dense)
+		}
+		ok, err := p.RunAccepted(m, certs, 0, sc)
+		if err != nil || ok {
+			t.Fatalf("%s run: (%v, %v), want (false, nil)", path, ok, err)
+		}
+		if k := sc.Keep(); k != 4 {
+			t.Fatalf("%s run: keep %d, want 4", path, k)
 		}
 	}
 }

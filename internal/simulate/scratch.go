@@ -99,8 +99,9 @@ func (sc *Scratch) NodeRuns() int64 { return sc.nodeRuns }
 // distance h−1 of it, its ball, so one rejecting node fixes a reject
 // and every node together fixes an accept. For a reject, k is thus the
 // minimum over rejecting nodes u of 1 + the largest node index in u's
-// ball; the dense pass stops at its first rejecting node and uses that
-// node's ball alone. For an accept, k is the maximum of that over all
+// ball. Both passes reach that minimum: after its first rejecting node
+// the dense pass reads only the verdicts of nodes whose ball would
+// lower it. For an accept, k is the maximum of that over all
 // nodes, which node n−1's own ball makes the node count n; so is k
 // after an error.
 //
@@ -141,8 +142,8 @@ func (sc *Scratch) ball(u, halt int) int {
 // not use the trace: the first of a machine on sc (or after Reset or an
 // error), and a run that follows one whose round count minus one
 // reached the graph's diameter, since a certificate change then reaches
-// every node anyway. The latter stops at the first rejecting verdict
-// and leaves no trace. Every other run calls Output on each node it
+// every node anyway. The latter reads a verdict only where it can
+// decide the run or lower its keep, and leaves no trace. Every other run calls Output on each node it
 // ran, even after a reject, so the trace never holds a stale verdict:
 // a skipped Output would cost the node a full rerun on the next run.
 // Every run also records its keep (see Keep).
@@ -242,13 +243,15 @@ func (p *Prepared) RunAccepted(m *Machine, certs [][]string, maxRounds int, sc *
 	}
 	sc.used, sc.rounds = rounds, rounds
 	if dense {
-		for u := 0; u < n; u++ {
-			if m.Output(sc.states[u]) != "1" {
-				sc.keep = sc.ball(u, sc.done[u])
-				return false, nil
+		// Every node until the first reject, then only the nodes whose
+		// ball could still shrink the keep: u's ball ends past u.
+		accepted := true
+		for u := 0; u < n && (accepted || u+1 < sc.keep); u++ {
+			if b := sc.ball(u, sc.done[u]); (accepted || b < sc.keep) && m.Output(sc.states[u]) != "1" {
+				accepted, sc.keep = false, b
 			}
 		}
-		return true, nil
+		return accepted, nil
 	}
 	accepted := true
 	for u := 0; u < n; u++ {

@@ -71,6 +71,9 @@ type Machine struct {
 	// strings in round 1). It returns the messages to send to those same
 	// neighbors (same order; nil means all empty) and whether the node
 	// halts after this round. A halted node keeps sending empty messages.
+	// A node whose verdict is fixed and that has nothing left to send
+	// should halt, because the game walk's keep reads its halting round
+	// (see Scratch.Keep).
 	//
 	// recv is only valid for the duration of the call: the pooled fast
 	// path (Prepared.RunAccepted) reuses one buffer across nodes and
