@@ -95,6 +95,10 @@ bench-build:
 # where every incremental RunAccepted must equal Run + Accepted, and
 # Run must keep that verdict when the certificates of every node from
 # the run's Keep() on are redrawn.
+# FuzzPrunedWalk picks a search space, a keep seed and engine options:
+# the pruned walk, head walk and pool together, must visit exactly the
+# assignments a brute-force model of the keeps leaves uncovered, and
+# Exists and ForAll must give the sequential engine's values.
 # Invariant for all: no panics; the journal replay additionally
 # recovers every record before the first corruption.
 fuzz:
@@ -105,6 +109,7 @@ fuzz:
 	$(GO) test -run=- -fuzz=FuzzMemoKey -fuzztime=5s ./internal/core
 	$(GO) test -run=- -fuzz=FuzzTupleCodec -fuzztime=5s ./internal/core
 	$(GO) test -run=- -fuzz=FuzzIncrementalRun -fuzztime=5s ./internal/simulate
+	$(GO) test -run=- -fuzz=FuzzPrunedWalk -fuzztime=5s ./internal/search
 	$(GO) test -run=- -fuzz=FuzzTraceparent -fuzztime=5s ./internal/obs
 
 bench:

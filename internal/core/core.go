@@ -352,8 +352,13 @@ func (ev *gameEval) eval(c *seqContext, i int, e Engine, par bool) (bool, int, e
 // level has been fanned out yet, so the first level the engine considers
 // splittable claims the worker pool (levels with tiny spaces pass the
 // pool down to the bigger levels beneath them); everything below a
-// fan-out runs sequentially within its worker. The innermost level
-// backjumps: after a leaf whose value does not decide the
+// fan-out runs sequentially within its worker. Claiming the pool does
+// not mean using it: the search engine walks the level in order first,
+// with one context, and fans out only the choices left once that walk
+// has spent its budget (see search.ExistsPerWorker), so a level its
+// keeps settle in a few leaves, such as Lemma 11's relativized P7, plays
+// the sequential engine's leaves and starts no goroutine. The
+// innermost level backjumps: after a leaf whose value does not decide the
 // quantifier, the walk skips every choice that agrees with it on the
 // nodes below the leaf's keep, since each of those has the same value.
 // An innermost universal level with leaf buffers, one position per
@@ -379,11 +384,15 @@ func (ev *gameEval) evalLevel(c *seqContext, i int, e Engine, par bool) (bool, e
 		prefix := c.moves[:i-1]
 		newPred := func() search.WorkerPred {
 			w := ev.newContext(prefix)
+			// Made now, not on the worker's first leaf: a pool worker
+			// may find every prefix claimed, and an evaluation's
+			// allocations must not depend on that.
+			ev.leafBuffers(w)
 			return func(choices []int, start bool) (bool, int) {
 				if start && w.leaf != nil {
-					// A new prefix: its first leaf must not depend on
-					// which prefix the worker ran before, so the work of
-					// an evaluation is the same under any scheduling.
+					// A new walk: its first leaf must not depend on which
+					// prefix the worker ran before, so the work of an
+					// evaluation is the same under any scheduling.
 					w.leaf.sim.Reset()
 				}
 				enum.Decode(choices, w.moves[i-1])
@@ -462,12 +471,13 @@ func (ev *gameEval) evalLevel(c *seqContext, i int, e Engine, par bool) (bool, e
 // innermost level reads the choices, so no strategy reply is skipped
 // with them.
 //
-// Each node's walk starts on a reset leaf trace, so its work does not
-// depend on the walks before it. split is false, and the caller walks
-// the level over all nodes at once, when some leaf's ball held every
-// node: that node's walk would skip nothing, so it alone would cost
-// what the plain walk does. The walks allocate nothing past their
-// buffers, made once per call.
+// The walks run one after another, and each continues on the leaf
+// trace the walk before it left, so their work is the same under any
+// scheduling. split is false, and the caller walks the level over all
+// nodes at once, when some leaf's ball held every node: that node's
+// walk would skip nothing, so it alone would cost what the plain walk
+// does. The walks allocate nothing past their buffers, made once per
+// call.
 func (ev *gameEval) splitLevel(c *seqContext, i int, e Engine) (val, split bool, err error) {
 	enum, k := ev.enums[i-1], c.moves[i-1]
 	n := enum.Len()
@@ -477,7 +487,6 @@ func (ev *gameEval) splitLevel(c *seqContext, i int, e Engine) (val, split bool,
 	//lint:coarse each node's walk polls the context on every leaf
 	for u := 0; u < n; u++ {
 		ev.prep.BallOrder(u, order, dist)
-		ls.sim.Reset()
 		all := false // a leaf's ball for u held every node
 		holds := search.ForEachPrunedOn(space, cur, func(choices []int) (bool, int) {
 			if e.Opts.Ctx != nil {

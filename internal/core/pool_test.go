@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cert"
@@ -200,7 +203,9 @@ func neighbourMatcher() *simulate.Machine {
 // The outer ∀ of each game holds, so every evaluation visits the whole
 // fanned-out level: the exhaustive ∀κ1 ∃κ2 game on P4, and the same
 // game with Eve's level cut down to her winning strategy κ2 = κ1 on P5,
-// where each prefix a worker claims still holds several leaves.
+// where each prefix a worker claims still holds several leaves. Both
+// levels outlast the search engine's sequential head walk, so leaves
+// run on more than one goroutine: the pool is really exercised.
 func TestNodeRunsDeterministic(t *testing.T) {
 	t.Parallel()
 	prepare := func(n int) *simulate.Prepared {
@@ -212,7 +217,18 @@ func TestNodeRunsDeterministic(t *testing.T) {
 		return prep
 	}
 	p4, p5 := prepare(4), prepare(5)
-	arb := &Arbiter{Machine: neighbourMatcher(), Level: Pi(2), RadiusID: 1}
+	// tracked records the goroutines that start a node while tracking.
+	var tracking atomic.Bool
+	var goroutines sync.Map
+	tracked := *neighbourMatcher()
+	init := tracked.Init
+	tracked.Init = func(in simulate.Input) any {
+		if tracking.Load() {
+			goroutines.Store(goroutineID(), true)
+		}
+		return init(in)
+	}
+	arb := &Arbiter{Machine: &tracked, Level: Pi(2), RadiusID: 1}
 	copyKappa1 := []Strategy{nil, func(_ *graph.Graph, _ graph.IDAssignment, moves []cert.Assignment) (cert.Assignment, error) {
 		return append(cert.Assignment(nil), moves[0]...), nil
 	}}
@@ -238,11 +254,19 @@ func TestNodeRunsDeterministic(t *testing.T) {
 			var leaves, runs int64
 			for i := 0; i < 20; i++ {
 				c := new(Counters)
+				goroutines.Clear()
+				tracking.Store(i == 0)
 				ok, err := game.play(Engine{Opts: o, Counters: c})
+				tracking.Store(false)
 				if err != nil || !ok {
 					t.Fatalf("%s %+v: ∀κ1 ∃κ2=κ1 game: (%v, %v), want (true, nil)", game.name, o, ok, err)
 				}
 				if i == 0 {
+					used := 0
+					goroutines.Range(func(any, any) bool { used++; return true })
+					if used < 2 {
+						t.Errorf("%s %+v: every leaf ran on one goroutine, want the level fanned out past the head walk", game.name, o)
+					}
 					leaves, runs = c.Leaves.Load(), c.NodeRuns.Load()
 					if runs >= leaves*int64(game.n) {
 						t.Errorf("%s %+v: %d leaves started %d nodes, want fewer than leaves × n", game.name, o, leaves, runs)
@@ -256,4 +280,11 @@ func TestNodeRunsDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// goroutineID returns the calling goroutine's number, read off the
+// first line of its stack trace ("goroutine N [running]:").
+func goroutineID() string {
+	buf := make([]byte, 32)
+	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
 }

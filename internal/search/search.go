@@ -6,15 +6,19 @@
 //
 // A Space describes the enumeration as a sequence of positions, each with
 // a finite number of choices; an assignment is one choice per position.
-// The engine splits the space by prefix across a worker pool: a short
-// prefix of the position sequence is enumerated centrally (as a
-// mixed-radix counter claimed through an atomic cursor) and each worker
-// exhausts the suffix below its claimed prefix. Exists and ForAll
-// short-circuit through an atomic stop flag the moment any worker finds a
-// witness (respectively a counterexample), and honor context.Context
-// cancellation between leaves. A per-worker predicate may also vouch
-// for assignments it has not been shown (its keep; see WorkerPred), and
-// the walk then backjumps past them.
+// The parallel engine splits lazily: the calling goroutine first walks
+// the space in order, as the sequential engine does, and only once it
+// has visited a fixed budget of assignments does it split the rest by
+// prefix across a worker pool: a short prefix of the position sequence
+// is enumerated centrally (as a mixed-radix counter claimed through an
+// atomic cursor) and each worker exhausts the suffix below its claimed
+// prefix. A space the first walk settles within the budget starts no
+// goroutine. Exists and ForAll short-circuit through an atomic stop flag
+// the moment any worker finds a witness (respectively a
+// counterexample), and honor context.Context cancellation between
+// leaves. A per-worker predicate may also vouch for assignments it has
+// not been shown (its keep; see WorkerPred), and the walk then
+// backjumps past them.
 //
 // Because predicates are required to be pure, the Boolean value of
 // Exists/ForAll is independent of visitation order, so the parallel
@@ -56,22 +60,25 @@ func Uniform(n, k int) Space {
 type Pred func(assignment []int) bool
 
 // WorkerPred is the predicate of one worker (see ExistsPerWorker). Its
-// value ok must be that of a Pred; start additionally tells it where the
-// prefixes the worker claims begin: start is true on the first
-// assignment the worker visits below each claimed prefix, and under the
-// sequential engine on the first assignment of the space. A predicate
-// that carries state from one assignment to the next (a cache of its
-// last evaluation, say) can drop it there, so that the work it does on
-// a prefix does not depend on which prefixes its worker claimed before.
+// value ok must be that of a Pred; start additionally tells it where
+// its walks begin: start is true on the first assignment of the space
+// (the sequential engine's walk, or the head walk that precedes a
+// pool) and on the first assignment a worker visits below each prefix
+// it claims from the pool. A predicate that carries state from one
+// assignment to the next (a cache of its last evaluation, say) can drop
+// it there, so that the work it does on a prefix does not depend on
+// which prefixes its worker claimed before.
 //
 // keep vouches for assignments the predicate has not been shown: every
 // assignment that agrees with this one on positions 0..keep−1 has the
 // same value, so the engine skips those it has not visited yet (see
 // ForEachPruned). A keep of Len or more vouches for no other
-// assignment. Under a pool, a keep at or below the split depth ends the
-// walk of the current prefix only: the engine never skips a prefix it
-// has not claimed, so which assignments a worker visits does not
-// depend on scheduling.
+// assignment. Under a pool, the head walk skips across prefixes as the
+// sequential engine does until it has spent its budget; from the end of
+// the prefix it is then in, a keep at or below the split depth ends the
+// walk of the current prefix only. The engine never skips a prefix the
+// pool owns, so which assignments are visited depends only on the
+// predicate's values, never on scheduling.
 type WorkerPred func(assignment []int, start bool) (ok bool, keep int)
 
 // Options selects the engine. The zero value is the parallel default.
@@ -119,6 +126,17 @@ const ctxCheckStride = 1024
 // exponential challenge loop), so only trivially small spaces are
 // exempted from fan-out.
 const minParallelLeaves = 64
+
+// headBudget is how many assignments the parallel engine visits
+// sequentially, with one predicate and keeps that cross prefixes,
+// before it hands the prefixes after its current one to the pool (lazy
+// splitting: Tzannes, Caragea, Barua and Vishkin, "Lazy
+// Binary-Splitting", PPoPP 2010). A level the head walk settles within
+// the budget, such as a game level whose keeps skip most of it, never
+// pays for a pool; a bigger budget delays the fan-out of the levels
+// that do need one. It does not replace minParallelLeaves: a space of
+// fewer assignments than that may still outlast the budget.
+const headBudget = 16
 
 // maxPrefixes caps the size of the central prefix counter.
 const maxPrefixes = 1 << 16
@@ -179,28 +197,32 @@ func Exists(o Options, s Space, pred Pred) (bool, error) {
 	})
 }
 
-// ExistsPerWorker is Exists with one predicate per worker: every worker
-// of the pool (the caller itself under the sequential engine) calls
-// newPred once, before it visits any assignment, and evaluates all of
+// ExistsPerWorker is Exists with one predicate per worker: the caller
+// calls newPred once for its own walk, the whole search under the
+// sequential engine and the head walk under a pool, and, if the head
+// walk spends its budget, every goroutine the pool starts calls it once
+// more, before it visits any assignment. Each worker evaluates all of
 // its assignments with the predicate it got, which also learns where
-// each prefix the worker claims begins (see WorkerPred). A predicate
-// that owns buffers therefore needs neither synchronization nor a
-// per-assignment checkout, and the number of newPred calls depends only
-// on the options and the space, never on scheduling. newPred itself may
-// run concurrently on several workers.
+// each of its walks begins (see WorkerPred). A predicate that owns
+// buffers therefore needs neither synchronization nor a per-assignment
+// checkout, and the number of newPred calls depends only on the
+// options, the space and the predicate's values, never on scheduling.
+// newPred itself may run concurrently on several workers.
 func ExistsPerWorker(o Options, s Space, newPred func() WorkerPred) (bool, error) {
-	if o.pool() == 1 || smallSpace(s) {
-		return existsSeq(o, s, newPred())
+	f := &fanout{o: o, s: s, prefixes: 1}
+	if Splittable(o, s) {
+		f.depth, f.prefixes = splitDepth(o, s)
 	}
-	return existsPar(o, s, newPred)
+	return f.run(newPred)
 }
 
-// Splittable reports whether the engine would actually fan s out to a
-// worker pool under the given options (false when the pool is a single
-// worker or the space is below the small-space threshold). Callers that
-// choose which quantifier level to hand the pool — e.g. the three-round
-// coloring minimax — should consult this instead of hard-coding the
-// threshold.
+// Splittable reports whether the engine may fan s out to a worker pool
+// under the given options (false when the pool is a single worker or
+// the space is below the small-space threshold). It does so only if
+// the head walk spends its budget before the search is settled. Callers
+// that choose which quantifier level to hand the pool — e.g. the
+// three-round coloring minimax — should consult this instead of
+// hard-coding the threshold.
 func Splittable(o Options, s Space) bool {
 	return o.pool() > 1 && !smallSpace(s)
 }
@@ -246,113 +268,144 @@ func ForAllPerWorker(o Options, s Space, newPred func() WorkerPred) (bool, error
 	return !some && err == nil, err
 }
 
-func existsSeq(o Options, s Space, pred WorkerPred) (bool, error) {
-	found := false
-	leaves := 0
-	var err error
-	ForEachPruned(s, func(a []int) (bool, int) {
-		leaves++
-		if o.Ctx != nil && leaves%ctxCheckStride == 0 {
-			if err = o.Ctx.Err(); err != nil {
-				return false, 0
-			}
-		}
-		ok, keep := pred(a, leaves == 1)
-		if ok {
-			found = true
-			return false, 0
-		}
-		return true, keep
-	})
-	if err != nil {
-		return false, err
-	}
-	if o.Ctx != nil {
-		if err := o.Ctx.Err(); err != nil {
-			return false, err
-		}
-	}
-	return found, nil
+// fanout is the shared state of one Exists: the prefix cursor the pool
+// claims from and the flags that stop every walker. The prefixes have
+// length depth; a single prefix means the space is never split.
+type fanout struct {
+	o               Options
+	s               Space
+	depth, prefixes int
+	cursor          atomic.Int64 // next unclaimed prefix index
+	stop            atomic.Bool  // a witness was found or the context is done
+	found           atomic.Bool
+	errOnce         sync.Once
+	err             error
+	wg              sync.WaitGroup
 }
 
-func existsPar(o Options, s Space, newPred func() WorkerPred) (bool, error) {
-	depth, prefixes := splitDepth(o, s)
-	if prefixes == 1 {
-		// Too small to split (or a single giant first position): the
-		// sequential engine is the parallel engine's only worker.
-		return existsSeq(o, s, newPred())
+func (f *fanout) fail(err error) {
+	f.errOnce.Do(func() { f.err = err })
+	f.stop.Store(true)
+}
+
+// walker is one goroutine's share of a fanout: its predicate, the
+// leaves it has visited, and whether its next leaf begins a walk.
+type walker struct {
+	f      *fanout
+	pred   WorkerPred
+	leaves int
+	start  bool
+}
+
+// visit is a walk's yield: false ends the walk.
+func (w *walker) visit(a []int) (bool, int) {
+	f := w.f
+	if f.stop.Load() {
+		return false, 0
 	}
-	var (
-		cursor  atomic.Int64 // next unclaimed prefix index
-		stop    atomic.Bool  // a witness was found somewhere
-		found   atomic.Bool
-		errOnce sync.Once
-		ctxErr  error
-		wg      sync.WaitGroup
-	)
-	workers := o.pool()
-	if workers > prefixes {
-		workers = prefixes
+	w.leaves++
+	if f.o.Ctx != nil && w.leaves%ctxCheckStride == 0 {
+		if err := f.o.Ctx.Err(); err != nil {
+			f.fail(err)
+			return false, 0
+		}
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pred := newPred()
-			cur := make([]int, s.Len)
-			leaves := 0
-			start := false // the next leaf is the first below its prefix
-			// visit is the walk's yield: false aborts this prefix's walk.
-			visit := func(a []int) (bool, int) {
-				if stop.Load() {
-					return false, 0
-				}
-				leaves++
-				if o.Ctx != nil && leaves%ctxCheckStride == 0 && o.Ctx.Err() != nil {
-					stop.Store(true)
-					return false, 0
-				}
-				first := start
-				start = false
-				ok, keep := pred(a, first)
-				if ok {
-					found.Store(true)
-					stop.Store(true)
-					return false, 0
-				}
-				return true, keep
+	first := w.start
+	w.start = false
+	ok, keep := w.pred(a, first)
+	if ok {
+		f.found.Store(true)
+		f.stop.Store(true)
+		return false, 0
+	}
+	return true, keep
+}
+
+// claim walks the prefixes it claims from the cursor, one at a time,
+// until none is left or the search stops; cur is its cursor buffer.
+func (w *walker) claim(cur []int) {
+	f := w.f
+	for !f.stop.Load() {
+		if f.o.Ctx != nil {
+			if err := f.o.Ctx.Err(); err != nil {
+				f.fail(err)
+				return
 			}
-			for {
-				if stop.Load() {
-					return
-				}
-				if o.Ctx != nil {
-					if err := o.Ctx.Err(); err != nil {
-						errOnce.Do(func() { ctxErr = err })
-						stop.Store(true)
-						return
-					}
-				}
-				i := cursor.Add(1) - 1
-				if i >= int64(prefixes) {
-					return
-				}
-				decodePrefix(s, depth, i, cur)
-				start = true
-				walk(s, depth, cur, visit)
-			}
-		}()
+		}
+		i := f.cursor.Add(1) - 1
+		if i >= int64(f.prefixes) {
+			return
+		}
+		decodePrefix(f.s, f.depth, i, cur)
+		w.start = true
+		walk(f.s, f.depth, cur, w.visit)
 	}
-	wg.Wait()
-	if o.Ctx != nil {
-		if err := o.Ctx.Err(); err != nil {
+}
+
+// run is Exists over f's space. The caller's goroutine walks the space
+// sequentially first, with one predicate, and keeps cross prefixes as in
+// the sequential engine: a space the walk settles within headBudget
+// visits starts no goroutine. Once the budget is spent, the prefixes
+// after the one the walk is in go to the pool, one goroutine fewer than
+// its size, each with a fresh predicate. The walk finishes its own
+// prefix, where a keep that would carry it past the prefix ends it,
+// since the pool owns what follows, and then claims prefixes like any
+// other walker.
+func (f *fanout) run(newPred func() WorkerPred) (bool, error) {
+	head := &walker{f: f, pred: newPred(), start: true}
+	cur := make([]int, f.s.Len)
+	split := false
+	walk(f.s, 0, cur, func(a []int) (bool, int) {
+		if split && zeroSuffix(a[f.depth:]) {
+			// The walk has left its last prefix: a prefix's first
+			// assignment is the only one with a zero suffix.
+			return false, 0
+		}
+		more, keep := head.visit(a)
+		if more && head.leaves == headBudget && f.prefixes > 1 {
+			split = true
+			f.split(rankPrefix(f.s, f.depth, a)+1, newPred)
+		}
+		return more, keep
+	})
+	if split {
+		head.claim(cur)
+		f.wg.Wait()
+	}
+	if f.o.Ctx != nil {
+		if err := f.o.Ctx.Err(); err != nil {
 			return false, err
 		}
 	}
-	if ctxErr != nil {
-		return false, ctxErr
+	if f.err != nil {
+		return false, f.err
 	}
-	return found.Load(), nil
+	return f.found.Load(), nil
+}
+
+// split starts the pool on the prefixes from next on: one goroutine
+// fewer than the pool size, since the head walk joins it, and never
+// more than the prefixes left.
+func (f *fanout) split(next int64, newPred func() WorkerPred) {
+	f.cursor.Store(next)
+	for range min(int64(f.o.pool()-1), int64(f.prefixes)-next) {
+		f.wg.Add(1)
+		go func() {
+			defer f.wg.Done()
+			w := &walker{f: f, pred: newPred()}
+			w.claim(make([]int, f.s.Len))
+		}()
+	}
+}
+
+// zeroSuffix reports whether every choice in suffix is 0.
+func zeroSuffix(suffix []int) bool {
+	for i := len(suffix) - 1; i >= 0; i-- {
+		if suffix[i] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // splitDepth picks the prefix length used to parcel the space out to the
@@ -387,6 +440,15 @@ func decodePrefix(s Space, depth int, i int64, cur []int) {
 		cur[pos] = int(i % k)
 		i /= k
 	}
+}
+
+// rankPrefix is decodePrefix's inverse: the index of cur[0:depth].
+func rankPrefix(s Space, depth int, cur []int) int64 {
+	var i int64
+	for pos := 0; pos < depth; pos++ {
+		i = i*int64(s.Size(pos)) + int64(cur[pos])
+	}
+	return i
 }
 
 // Scratch pools decode buffers for predicate calls: a parallel

@@ -103,8 +103,10 @@ func TestForAll(t *testing.T) {
 
 // TestPerWorkerPredicates: ExistsPerWorker and ForAllPerWorker make
 // exactly one predicate per worker — one under the sequential engine,
-// the pool size when the space splits into more prefixes than workers —
-// each used by a single goroutine, and agree with Exists and ForAll.
+// the pool size when the head walk spends its budget with more prefixes
+// left than workers (the head's, then one per goroutine it starts) —
+// each used by a single goroutine, and agree with Exists and ForAll. The
+// first witness has rank 487, far past the head's budget.
 func TestPerWorkerPredicates(t *testing.T) {
 	s := Uniform(6, 3) // 729 assignments
 	target := func(a []int) bool { return a[0] == 2 && a[5] == 1 }
@@ -142,11 +144,12 @@ func TestPerWorkerPredicates(t *testing.T) {
 	}
 }
 
-// TestWorkerPredStart: a per-worker predicate is told where each prefix
-// its worker claims begins. With no witness every assignment is visited,
-// so the starts are exactly the prefixes' first assignments — one per
-// prefix under a pool, the space's first under the sequential engine —
-// and every other assignment comes without the flag.
+// TestWorkerPredStart: a per-worker predicate is told where each walk
+// it is given begins. With no witness every assignment is visited, so
+// the starts are the first assignment of the space (the sequential
+// engine's walk, or a pool's head) and, under a pool, the first
+// assignment of each prefix the pool claims after the head; every other
+// assignment comes without the flag.
 func TestWorkerPredStart(t *testing.T) {
 	s := Uniform(6, 3) // 729 assignments
 	for _, o := range []Options{Sequential(), Parallel(3)} {
@@ -167,12 +170,16 @@ func TestWorkerPredStart(t *testing.T) {
 		if got, err := ExistsPerWorker(o, s, newPred); got || err != nil {
 			t.Fatalf("workers %d: (%v, %v), want (false, nil)", o.Workers, got, err)
 		}
-		depth, prefixes := 0, 1
+		depth, prefixes, headEnd := 0, 1, 1
 		if o.pool() > 1 {
 			depth, prefixes = splitDepth(o, s)
+			// The head walks on to the end of the prefix of its
+			// headBudget-th visit.
+			headEnd = (headBudget-1)/(729/prefixes) + 1
 		}
-		if visits != 729 || len(starts) != prefixes {
-			t.Fatalf("workers %d: %d visits, %d starts; want 729 visits, %d starts", o.Workers, visits, len(starts), prefixes)
+		wantStarts := 1 + prefixes - headEnd
+		if visits != 729 || len(starts) != wantStarts {
+			t.Fatalf("workers %d: %d visits, %d starts; want 729 visits, %d starts", o.Workers, visits, len(starts), wantStarts)
 		}
 		seen := map[string]bool{}
 		for _, a := range starts {
@@ -183,8 +190,11 @@ func TestWorkerPredStart(t *testing.T) {
 				}
 			}
 		}
-		if len(seen) != prefixes {
-			t.Errorf("workers %d: starts cover %d distinct prefixes, want %d", o.Workers, len(seen), prefixes)
+		if len(seen) != wantStarts {
+			t.Errorf("workers %d: starts cover %d distinct prefixes, want %d", o.Workers, len(seen), wantStarts)
+		}
+		if !seen[fmt.Sprint(make([]int, depth))] {
+			t.Errorf("workers %d: no start at the space's first assignment", o.Workers)
 		}
 	}
 }
