@@ -101,16 +101,20 @@ bench-build:
 # Exists and ForAll must give the sequential engine's values.
 # Invariant for all: no panics; the journal replay additionally
 # recovers every record before the first corruption.
+# Minimization is bounded to 1s per new input: at Go's default of 60s,
+# a smoke that finds a new input in its first seconds spends the rest
+# minimizing it and checks no further input.
+FUZZ = $(GO) test -run=- -fuzztime=5s -fuzzminimizetime=1s
 fuzz:
-	$(GO) test -run=- -fuzz=FuzzReadGraph -fuzztime=5s ./internal/graphio
-	$(GO) test -run=- -fuzz=FuzzDecodeRequest -fuzztime=5s ./internal/service
-	$(GO) test -run=- -fuzz=FuzzIdempotencyKey -fuzztime=5s ./internal/service
-	$(GO) test -run=- -fuzz=FuzzReplayJournal -fuzztime=5s ./internal/journal
-	$(GO) test -run=- -fuzz=FuzzMemoKey -fuzztime=5s ./internal/core
-	$(GO) test -run=- -fuzz=FuzzTupleCodec -fuzztime=5s ./internal/core
-	$(GO) test -run=- -fuzz=FuzzIncrementalRun -fuzztime=5s ./internal/simulate
-	$(GO) test -run=- -fuzz=FuzzPrunedWalk -fuzztime=5s ./internal/search
-	$(GO) test -run=- -fuzz=FuzzTraceparent -fuzztime=5s ./internal/obs
+	$(FUZZ) -fuzz=FuzzReadGraph ./internal/graphio
+	$(FUZZ) -fuzz=FuzzDecodeRequest ./internal/service
+	$(FUZZ) -fuzz=FuzzIdempotencyKey ./internal/service
+	$(FUZZ) -fuzz=FuzzReplayJournal ./internal/journal
+	$(FUZZ) -fuzz=FuzzMemoKey ./internal/core
+	$(FUZZ) -fuzz=FuzzTupleCodec ./internal/core
+	$(FUZZ) -fuzz=FuzzIncrementalRun ./internal/simulate
+	$(FUZZ) -fuzz=FuzzPrunedWalk ./internal/search
+	$(FUZZ) -fuzz=FuzzTraceparent ./internal/obs
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
@@ -423,7 +427,7 @@ help:
 	@echo "make test-lifecycle - drain/shed/idempotency suite twice under -race (defeats caching, shakes out flakes)"
 	@echo "make examples    - go run every examples/* program; fail on a nonzero exit"
 	@echo "make bench-build - go vet + go test the lphbench module offline, caches in .bench_build/ (as lphbench/run.sh builds it)"
-	@echo "make fuzz        - 5s fuzz smokes: FuzzReadGraph + FuzzDecodeRequest + FuzzIdempotencyKey + FuzzReplayJournal + FuzzMemoKey + FuzzTupleCodec + FuzzIncrementalRun + FuzzTraceparent"
+	@echo "make fuzz        - 5s fuzz smokes: FuzzReadGraph + FuzzDecodeRequest + FuzzIdempotencyKey + FuzzReplayJournal + FuzzMemoKey + FuzzTupleCodec + FuzzIncrementalRun + FuzzPrunedWalk + FuzzTraceparent"
 	@echo "make bench       - smoke-run every benchmark once"
 	@echo "make bench-json  - record every benchmark for BENCHTIME (default 200ms) in BENCH_pr10.json"
 	@echo "make bench-delta - fail if BENCH_pr10.json regresses an engine pair >10% vs BENCH_pr9.json, tracing overhead >10%, or router hop >2x"

@@ -58,22 +58,17 @@ func Eulerian() *simulate.Machine {
 func AllEqual() *simulate.Machine {
 	type st struct {
 		label string
-		deg   int
 		ok    bool
 	}
 	return &simulate.Machine{
 		Name: "lp:all-equal",
 		Init: func(in simulate.Input) any {
-			return &st{label: in.Label, deg: in.Degree, ok: true}
+			return &st{label: in.Label, ok: true}
 		},
 		Round: func(sv any, round int, recv []string) ([]string, bool) {
 			s := sv.(*st)
 			if round == 1 {
-				out := make([]string, s.deg)
-				for i := range out {
-					out[i] = s.label
-				}
-				return out, false
+				return simulate.Broadcast(recv, s.label), false
 			}
 			for _, m := range recv {
 				if m != s.label {
@@ -96,42 +91,39 @@ func colorBits(k int) int {
 }
 
 // KColorable returns the NLP-verifier for k-colorability: Eve's certificate
-// κ1(u) is u's color, encoded as a fixed-width bit string; nodes exchange
-// colors in one round and verify validity and properness in the next.
-// This is the machine side of Example 5 / Theorem 23.
+// κ1(u) is u's color, encoded as exactly colorBits(k) characters from
+// {0,1} with a value below k; nodes exchange colors in one round and
+// verify validity and properness in the next. A node whose own
+// certificate is no color rejects and halts in round 1. This is the
+// machine side of Example 5 / Theorem 23.
 func KColorable(k int) *simulate.Machine {
 	width := colorBits(k)
 	type st struct {
 		color string
-		deg   int
 		ok    bool
 	}
 	return &simulate.Machine{
 		Name: fmt.Sprintf("nlp:%d-colorable", k),
 		Init: func(in simulate.Input) any {
-			s := &st{deg: in.Degree, ok: true}
+			s := &st{}
 			if len(in.Certs) >= 1 {
 				s.color = in.Certs[0]
 			}
 			// The certificate must be a valid color.
-			if len(s.color) != width {
-				s.ok = false
-				return s
+			v := 0
+			s.ok = len(s.color) == width
+			for i := 0; i < len(s.color) && s.ok; i++ {
+				b := s.color[i]
+				s.ok = b == '0' || b == '1'
+				v = v<<1 | int(b-'0')
 			}
-			v, err := strconv.ParseInt(s.color, 2, 32)
-			if err != nil || int(v) >= k {
-				s.ok = false
-			}
+			s.ok = s.ok && v < k
 			return s
 		},
 		Round: func(sv any, round int, recv []string) ([]string, bool) {
 			s := sv.(*st)
 			if round == 1 {
-				out := make([]string, s.deg)
-				for i := range out {
-					out[i] = s.color
-				}
-				return out, !s.ok
+				return simulate.Broadcast(recv, s.color), !s.ok
 			}
 			for _, m := range recv {
 				if m == s.color {
@@ -217,7 +209,6 @@ func decodeValuation(s string) (map[string]bool, bool) {
 // all shared variables.
 func SatGraph() *simulate.Machine {
 	type st struct {
-		deg     int
 		ok      bool
 		formula sat.Formula
 		val     map[string]bool
@@ -226,7 +217,7 @@ func SatGraph() *simulate.Machine {
 	return &simulate.Machine{
 		Name: "nlp:sat-graph",
 		Init: func(in simulate.Input) any {
-			s := &st{deg: in.Degree, ok: true}
+			s := &st{ok: true}
 			f, err := sat.DecodeLabel(in.Label)
 			if err != nil {
 				s.ok = false
@@ -257,11 +248,7 @@ func SatGraph() *simulate.Machine {
 		Round: func(sv any, round int, recv []string) ([]string, bool) {
 			s := sv.(*st)
 			if round == 1 {
-				out := make([]string, s.deg)
-				for i := range out {
-					out[i] = s.enc
-				}
-				return out, !s.ok
+				return simulate.Broadcast(recv, s.enc), !s.ok
 			}
 			if !s.ok {
 				return nil, true

@@ -133,24 +133,43 @@ func TestTwoColorableSoundness(t *testing.T) {
 	}
 }
 
+// TestKColorableRejectsMalformedCertificates: a colour is exactly
+// colorBits(k) characters from {0,1} with a value below k. On P2 node
+// 1 holds the colour "00" and node 0 a certificate that differs from
+// it, so only the validity check decides node 0's verdict. A sign once
+// passed it: "-1" and "+1" parsed as width-2 colours, and K5 was
+// accepted as 4-colourable with a fifth node coloured "-1".
 func TestKColorableRejectsMalformedCertificates(t *testing.T) {
 	t.Parallel()
 	g := graph.Path(2)
 	id := graph.GloballyUnique(g)
 	m := KColorable(3)
-	for _, certs := range [][]string{
-		{"", ""},     // missing
-		{"11", "00"}, // "11" = color 3 >= k
-		{"0", "01"},  // wrong width
+	for _, tc := range []struct {
+		cert string
+		ok   bool
+	}{
+		{"01", true}, {"10", true},
+		{"", false},                                 // missing
+		{"-1", false}, {"+1", false}, {"-0", false}, // a sign
+		{"1x", false}, {"21", false}, {" 1", false}, // a non-binary character
+		{"0", false}, {"001", false}, // the wrong width
+		{"11", false}, // colour 3 >= k
 	} {
-		lists := [][]string{{certs[0]}, {certs[1]}}
-		res, err := simulate.Run(m, g, id, lists, simulate.Options{})
+		res, err := simulate.Run(m, g, id, [][]string{{tc.cert}, {"00"}}, simulate.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Accepted() {
-			t.Fatalf("malformed certificates %v accepted", certs)
+		if got := res.Outputs[0] == "1"; got != tc.ok {
+			t.Errorf("certificate %q beside \"00\": node 0 accepts %v, want %v", tc.cert, got, tc.ok)
 		}
+	}
+	k5 := graph.Complete(5)
+	res, err := simulate.Run(KColorable(4), k5, graph.GloballyUnique(k5), cert.NodeLists(cert.Assignment{"00", "01", "10", "11", "-1"}), simulate.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Accepted() || res.Outputs[4] != "0" {
+		t.Errorf("K5 coloured 00, 01, 10, 11, -1: outputs %v, want node 4 to reject", res.Outputs)
 	}
 }
 

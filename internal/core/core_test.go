@@ -321,8 +321,8 @@ func TestProductMessaging(t *testing.T) {
 // alone — on both engines (Run and the buffer-reusing RunAccepted).
 // Running each component alone is the ground truth: it involves no
 // tuple codec. The components send empty, short, separator-laden and
-// 200-byte messages, to some neighbours only, and reuse their send
-// slices across rounds.
+// 200-byte messages, to some neighbours only, reuse their send slices
+// across rounds, and send through the buffer they are lent.
 func TestProductEqualsConjunction(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
@@ -416,29 +416,24 @@ func TestProductEqualsConjunction(t *testing.T) {
 }
 
 // longEcho sends a 200-byte message built from its label and id in
-// round 1 (a two-byte length in the tuple) and accepts in round 2 iff
-// the number of neighbours that sent the same message as it has the
-// parity of its label.
+// round 1 (a two-byte length in the tuple), through the buffer it is
+// lent, and accepts in round 2 iff the number of neighbours that sent
+// the same message as it has the parity of its label.
 func longEcho() *simulate.Machine {
 	type st struct {
 		msg   string
 		label string
-		deg   int
 		ok    bool
 	}
 	return &simulate.Machine{
 		Name: "comp:long-echo",
 		Init: func(in simulate.Input) any {
-			return &st{msg: strings.Repeat(in.Label+"|", 100), label: in.Label, deg: in.Degree}
+			return &st{msg: strings.Repeat(in.Label+"|", 100), label: in.Label}
 		},
 		Round: func(sv any, round int, recv []string) ([]string, bool) {
 			s := sv.(*st)
 			if round == 1 {
-				out := make([]string, s.deg)
-				for j := range out {
-					out[j] = s.msg
-				}
-				return out, false
+				return simulate.Broadcast(recv, s.msg), false
 			}
 			same := 0
 			for _, m := range recv {

@@ -56,6 +56,11 @@ func coreParityCases() []struct {
 		return []cert.Domain{cert.UniformDomain(n, 1), cert.UniformDomain(n, 1), cert.UniformDomain(n, 1)}
 	}
 	relativized := Relativize(matchMachine(), Sigma(1), []Restrictor{oneBitRestrictor(1)}, 1)
+	// Components that send through the buffer they are lent
+	// (neighbourhoodMachine), run inside the tuple combinators.
+	c4 := graph.Cycle(4).MustWithLabels([]string{"1", "0", "0", "0"})
+	product := Product("two-coloring×no-equal-ones", nil, twoColoring(), noEqualOnes())
+	relativizedColoring := Relativize(twoColoring(), Sigma(1), []Restrictor{atMostOneBit(1)}, 1)
 	return []struct {
 		name    string
 		arb     *Arbiter
@@ -75,6 +80,9 @@ func coreParityCases() []struct {
 			[]cert.Domain{cert.UniformDomain(4, 0), cert.UniformDomain(4, 1), cert.UniformDomain(4, 1)}},
 		{"relativized match Σ1", &Arbiter{Machine: relativized, Level: Sigma(1), RadiusID: 1,
 			Bound: cert.Bound{R: 1, P: cert.Polynomial{8}}}, p4,
+			[]cert.Domain{cert.UniformDomain(4, 2)}},
+		{"product broadcast Σ1", &Arbiter{Machine: product, Level: Sigma(1), RadiusID: 1}, c4, one(4)},
+		{"relativized broadcast Σ1", &Arbiter{Machine: relativizedColoring, Level: Sigma(1), RadiusID: 1}, p4,
 			[]cert.Domain{cert.UniformDomain(4, 2)}},
 	}
 }

@@ -227,27 +227,23 @@ func atMostOneBit(move int) Restrictor {
 }
 
 // neighbourhoodMachine is a two-round machine: in round 1 every node
-// sends "label:cert" (its first certificate) to each neighbour, in
-// round 2 it decides by accept over its own pair and its neighbours'.
+// sends "label:cert" (its first certificate) to each neighbour through
+// the buffer it is lent (simulate.Broadcast), in round 2 it decides by
+// accept over its own pair and its neighbours'.
 func neighbourhoodMachine(name string, accept func(label, c string, nbLabels, nbCerts []string) bool) *simulate.Machine {
 	type st struct {
 		label, cert string
-		deg         int
 		ok          bool
 	}
 	return &simulate.Machine{
 		Name: name,
 		Init: func(in simulate.Input) any {
-			return &st{label: in.Label, cert: in.Certs[0], deg: in.Degree}
+			return &st{label: in.Label, cert: in.Certs[0]}
 		},
 		Round: func(sv any, round int, recv []string) ([]string, bool) {
 			s := sv.(*st)
 			if round == 1 {
-				out := make([]string, s.deg)
-				for j := range out {
-					out[j] = s.label + ":" + s.cert
-				}
-				return out, false
+				return simulate.Broadcast(recv, s.label+":"+s.cert), false
 			}
 			var labels, certs []string
 			for _, m := range recv {

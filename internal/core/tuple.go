@@ -126,7 +126,9 @@ func (t *tupleNode) split(j int, msg string) {
 }
 
 // step runs component i's round on what it received and copies what it
-// sends into its row (all empty once it has halted). It reports whether
+// sends into its row (all empty once it has halted). The component is
+// lent its receive row, which it may send through (see
+// simulate.Machine): the next split refills the row. It reports whether
 // the component halted in this very round.
 func (t *tupleNode) step(i int, m *simulate.Machine, round int) (justHalted bool) {
 	k, d := len(t.comps), t.deg

@@ -161,3 +161,32 @@ func workInstances(t testing.TB) []workInstance {
 		{"4-colorable-K5", arb(arbiters.KColorable(4), core.Sigma(1)), prepare(graph.Complete(5), false), []cert.Domain{u(5, 2)}},
 	}
 }
+
+// TestK5AllocsPerNodeRun pins what one node run allocates on the
+// games-cold rotation's K5 game under the sequential engine: at most
+// one object, Init's state, since KColorable sends through the buffer
+// Round is lent (simulate.Broadcast). evalAllocs covers the
+// evaluation's own buffers, which do not grow with the leaves.
+//
+// Not parallel: AllocsPerRun counts the whole process's allocations.
+func TestK5AllocsPerNodeRun(t *testing.T) {
+	const evalAllocs = 64
+	var k5 workInstance
+	for _, in := range workInstances(t) {
+		if in.name == "4-colorable-K5" {
+			k5 = in
+		}
+	}
+	play := func(e core.Engine) {
+		if ok, err := k5.arb.GameValueEngine(k5.prep, k5.domains, e); err != nil || ok {
+			t.Fatalf("%s: (%v, %v), want (false, nil)", k5.name, ok, err)
+		}
+	}
+	c := new(core.Counters)
+	play(core.Engine{Opts: search.Sequential(), Counters: c})
+	runs := c.NodeRuns.Load()
+	allocs := testing.AllocsPerRun(5, func() { play(core.Engine{Opts: search.Sequential()}) })
+	if allocs > float64(runs+evalAllocs) {
+		t.Errorf("%s: one evaluation allocates %v times for %d node runs, want at most %d", k5.name, allocs, runs, runs+evalAllocs)
+	}
+}

@@ -31,7 +31,6 @@ import (
 // bipartiteness of the reconstructed graph.
 func edgeGatherer(radius int) *simulate.Machine {
 	type st struct {
-		deg   int
 		id    string
 		edges map[string]bool
 		ok    bool
@@ -39,16 +38,12 @@ func edgeGatherer(radius int) *simulate.Machine {
 	return &simulate.Machine{
 		Name: fmt.Sprintf("edge-gatherer(r=%d)", radius),
 		Init: func(in simulate.Input) any {
-			return &st{deg: in.Degree, id: in.ID, edges: make(map[string]bool), ok: true}
+			return &st{id: in.ID, edges: make(map[string]bool), ok: true}
 		},
 		Round: func(sv any, round int, recv []string) ([]string, bool) {
 			s := sv.(*st)
 			if round == 1 {
-				out := make([]string, s.deg)
-				for i := range out {
-					out[i] = s.id
-				}
-				return out, false
+				return simulate.Broadcast(recv, s.id), false
 			}
 			if round == 2 {
 				for _, nid := range recv {
@@ -77,11 +72,7 @@ func edgeGatherer(radius int) *simulate.Machine {
 			}
 			sort.Strings(all)
 			msg := strings.Join(all, "|")
-			out := make([]string, s.deg)
-			for i := range out {
-				out[i] = msg
-			}
-			return out, false
+			return simulate.Broadcast(recv, msg), false
 		},
 		Output: func(sv any) string {
 			if sv.(*st).ok {
@@ -204,7 +195,6 @@ func counterVerifier(modulus int) *simulate.Machine {
 		width++
 	}
 	type st struct {
-		deg   int
 		label string
 		val   int
 		ok    bool
@@ -213,7 +203,7 @@ func counterVerifier(modulus int) *simulate.Machine {
 	return &simulate.Machine{
 		Name: fmt.Sprintf("counter-verifier(mod %d)", modulus),
 		Init: func(in simulate.Input) any {
-			s := &st{deg: in.Degree, label: in.Label, ok: true}
+			s := &st{label: in.Label, ok: true}
 			if len(in.Certs) < 1 || len(in.Certs[0]) != width {
 				s.ok = false
 				return s
@@ -233,11 +223,7 @@ func counterVerifier(modulus int) *simulate.Machine {
 		Round: func(sv any, round int, recv []string) ([]string, bool) {
 			s := sv.(*st)
 			if round == 1 {
-				out := make([]string, s.deg)
-				for i := range out {
-					out[i] = s.enc
-				}
-				return out, false
+				return simulate.Broadcast(recv, s.enc), false
 			}
 			if !s.ok || s.label != "1" {
 				return nil, true

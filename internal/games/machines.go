@@ -160,12 +160,7 @@ func newPointsToMachine(name string, target LocalTarget, unique bool) *simulate.
 		Round: func(sv any, round int, recv []string) ([]string, bool) {
 			s := sv.(*ptState)
 			if round == 1 {
-				out := make([]string, s.in.Degree)
-				msg := s.round1Msg()
-				for i := range out {
-					out[i] = msg
-				}
-				return out, !s.ok
+				return simulate.Broadcast(recv, s.round1Msg()), !s.ok
 			}
 			var neighbors []neighborInfo
 			for _, m := range recv {
@@ -398,12 +393,7 @@ func HamiltonianArbiter() *core.Arbiter {
 			s := h.ptState
 			switch round {
 			case 1:
-				out := make([]string, s.in.Degree)
-				msg := s.round1Msg()
-				for i := range out {
-					out[i] = msg
-				}
-				return out, false
+				return simulate.Broadcast(recv, s.round1Msg()), false
 			case 2:
 				for _, m := range recv {
 					nb, ok := parseNeighbor(m)
@@ -424,11 +414,7 @@ func HamiltonianArbiter() *core.Arbiter {
 				h.isLeaf = h.childCount == 0
 				// Announce leaf status (and echo the parent claim so the
 				// root can verify the leaf is not its own child).
-				out := make([]string, s.in.Degree)
-				for i := range out {
-					out[i] = bit(h.isLeaf) + "," + s.parentID
-				}
-				return out, !s.ok
+				return simulate.Broadcast(recv, bit(h.isLeaf)+","+s.parentID), !s.ok
 			default:
 				// SeesLeafIfRoot: the root needs an adjacent leaf that is
 				// not its own child.

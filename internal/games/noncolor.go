@@ -94,12 +94,7 @@ func NonTwoColorableArbiter() *core.Arbiter {
 		Round: func(sv any, round int, recv []string) ([]string, bool) {
 			s := sv.(*oddCycleState)
 			if round == 1 {
-				out := make([]string, s.in.Degree)
-				msg := s.oddCycleMsg()
-				for i := range out {
-					out[i] = msg
-				}
-				return out, !s.ok
+				return simulate.Broadcast(recv, s.oddCycleMsg()), !s.ok
 			}
 			var neighbors []neighborInfo
 			var cyc []oddCycleNeighbor

@@ -151,12 +151,7 @@ func AcyclicArbiter() *core.Arbiter {
 		Round: func(sv any, round int, recv []string) ([]string, bool) {
 			s := sv.(*acyclicState).ptState
 			if round == 1 {
-				out := make([]string, s.in.Degree)
-				msg := s.round1Msg()
-				for i := range out {
-					out[i] = msg
-				}
-				return out, !s.ok
+				return simulate.Broadcast(recv, s.round1Msg()), !s.ok
 			}
 			var neighbors []neighborInfo
 			for _, m := range recv {
@@ -233,12 +228,7 @@ func OddArbiter() *core.Arbiter {
 			s := o.ptState
 			if round == 1 {
 				// Message: the PointsTo fields plus the parity bit.
-				out := make([]string, s.in.Degree)
-				msg := s.round1Msg() + "," + bit(o.parity == 1)
-				for i := range out {
-					out[i] = msg
-				}
-				return out, !s.ok
+				return simulate.Broadcast(recv, s.round1Msg()+","+bit(o.parity == 1)), !s.ok
 			}
 			var neighbors []neighborInfo
 			sum := 0

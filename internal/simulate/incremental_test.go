@@ -25,19 +25,7 @@ func mixer(name string, late, maxHalt int, short bool) *Machine {
 		halt int
 		out  []string
 	}
-	fold := func(s *st, parts ...string) {
-		f := fnv.New64a()
-		var b [8]byte
-		for i := range b {
-			b[i] = byte(s.h >> (8 * i))
-		}
-		f.Write(b[:])
-		for _, p := range parts {
-			f.Write([]byte(p))
-			f.Write([]byte{0})
-		}
-		s.h = f.Sum64()
-	}
+	fold := func(s *st, parts ...string) { s.h = foldHash(s.h, parts...) }
 	return &Machine{
 		Name: name,
 		Init: func(in Input) any {
@@ -78,6 +66,65 @@ func mixer(name string, late, maxHalt int, short bool) *Machine {
 		},
 		Output: func(state any) string {
 			if state.(*st).h%8 != 0 {
+				return "1"
+			}
+			return "0"
+		},
+	}
+}
+
+// foldHash folds parts into the running hash h.
+func foldHash(h uint64, parts ...string) uint64 {
+	f := fnv.New64a()
+	var b [8]byte
+	for i := range b {
+		b[i] = byte(h >> (8 * i))
+	}
+	f.Write(b[:])
+	for _, p := range parts {
+		f.Write([]byte(p))
+		f.Write([]byte{0})
+	}
+	return f.Sum64()
+}
+
+// inPlace sends through the buffer Round is lent (see Machine): each
+// round it folds every message it received into a running hash, then
+// overwrites each recv[j] with a message made from the hash, j and the
+// message recv[j] held, and returns recv. Its neighbours thus get
+// distinct messages that depend on its whole traffic, so an engine that
+// read a send after lending the buffer again, or lent a buffer still
+// holding sends, changes some verdict. It halts after a round drawn
+// from its certificates (1..3, or past any small round bound under
+// "stall"), and its verdict is a bit of the final hash.
+func inPlace() *Machine {
+	type st struct {
+		h    uint64
+		halt int
+	}
+	return &Machine{
+		Name: "test:in-place",
+		Init: func(in Input) any {
+			s := &st{h: foldHash(0, in.Label)}
+			s.h = foldHash(s.h, in.Certs...)
+			s.halt = 1 + int(s.h%3)
+			for _, c := range in.Certs {
+				if c == "stall" {
+					s.halt = 1000
+				}
+			}
+			return s
+		},
+		Round: func(state any, round int, recv []string) ([]string, bool) {
+			s := state.(*st)
+			s.h = foldHash(s.h, recv...)
+			for j, m := range recv {
+				recv[j] = strconv.FormatUint((s.h>>(4*j)+uint64(len(m)))%7, 10)
+			}
+			return recv, round >= s.halt
+		},
+		Output: func(state any) string {
+			if state.(*st).h%4 != 0 {
 				return "1"
 			}
 			return "0"
@@ -168,6 +215,9 @@ type keepRuns struct{ dense, traced int }
 // Accepted. A repeat after a run that left a trace must start no node.
 // After every run that ends, the certificate lists of the nodes from
 // Keep on are redrawn at random, and Run must give the same verdict.
+// The machines send from slices of their own (mixer, earlyReject), not
+// at all (certParityAccept), and through the buffer they are lent
+// (inPlace).
 func checkIncrementalSequence(t testing.TB, data []byte) keepRuns {
 	var freed keepRuns
 	redraw := rand.New(rand.NewSource(int64(len(data))))
@@ -201,6 +251,7 @@ func checkIncrementalSequence(t testing.TB, data []byte) keepRuns {
 		mixer("test:mixer-short", 1, 2, true),
 		certParityAccept(),
 		earlyReject(),
+		inPlace(),
 	}
 	m := machines[src.next()%len(machines)]
 	width := 1 + src.next()%2

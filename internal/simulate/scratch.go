@@ -149,8 +149,10 @@ func (sc *Scratch) ball(u, halt int) int {
 // Every run also records its keep (see Keep).
 //
 // The recv slice handed to m.Round aliases a buffer reused across nodes
-// and rounds, which is within the Machine contract: Round must not
-// retain recv beyond the call (see Machine). RunAccepted is equivalent
+// and rounds, which is within the Machine contract: Round may send
+// through recv but must not retain it beyond the call (see Machine),
+// and RunAccepted copies the sends into the trace before the next
+// call. RunAccepted is equivalent
 // to Run followed by Result.Accepted; the simulate test suite pins the
 // equivalence over long run sequences on one Scratch.
 func (p *Prepared) RunAccepted(m *Machine, certs [][]string, maxRounds int, sc *Scratch) (bool, error) {

@@ -75,20 +75,32 @@ type Machine struct {
 	// should halt, because the game walk's keep reads its halting round
 	// (see Scratch.Keep).
 	//
-	// recv is only valid for the duration of the call: the pooled fast
-	// path (Prepared.RunAccepted) reuses one buffer across nodes and
-	// rounds, so implementations must copy any message they need to keep
-	// rather than retaining recv or aliasing into it.
+	// recv is lent for the duration of the call: the pooled fast path
+	// (Prepared.RunAccepted) reuses one buffer across nodes and rounds,
+	// so a machine must not retain recv past the call. Within the call
+	// it may write its sends into recv and return it, as Broadcast does;
+	// a machine that does so must read every message it needs first, or
+	// copy it out, because an entry it has overwritten is gone.
 	//
-	// Conversely, both engines (Prepared.Run and Prepared.RunAccepted)
-	// copy the returned send slice before the next Round call, so a
-	// machine may return the same slice every round and overwrite it in
-	// the next call; the Product and Relativize combinators in
-	// internal/core rely on this.
+	// Every engine (Prepared.Run, Prepared.RunAccepted and the Product
+	// and Relativize combinators in internal/core) copies the returned
+	// send slice before its next Round call, so a machine may also
+	// return one slice of its own every round and overwrite it in the
+	// next call, as the combinators do.
 	Round func(st any, round int, recv []string) (send []string, halt bool)
 	// Output extracts the node's final output label (its verdict when the
 	// machine is used as a decision procedure: "1" accepts).
 	Output func(st any) string
+}
+
+// Broadcast fills recv with msg and returns it: the sends of a node
+// that tells every neighbour the same thing, written into the buffer
+// Round was lent (see Machine). The node must have read recv first.
+func Broadcast(recv []string, msg string) []string {
+	for j := range recv {
+		recv[j] = msg
+	}
+	return recv
 }
 
 // Result is the outcome of an execution.
