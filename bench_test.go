@@ -501,27 +501,6 @@ func BenchmarkBatchSimulate(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepEngines runs the WHOLE experiment suite through the
-// sharded sweep engine (experiments.All), sequential pool vs
-// parallel pool — the PR 4 tentpole workload: experiments fan out
-// across the pool and each experiment's instance sweeps shard through
-// the same engine, so the suite's wall clock tracks the worker count
-// on multicore hosts (on a single CPU the two engines coincide).
-// Recorded in BENCH_pr4.json by `make bench-json`.
-func BenchmarkSweepEngines(b *testing.B) {
-	for _, e := range engines {
-		b.Run(e.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, rep := range experiments.All(e.opts) {
-					if !rep.OK() {
-						b.Fatalf("experiment %s failed under %s", rep.ID, e.name)
-					}
-				}
-			}
-		})
-	}
-}
-
 func sizeName(n int) string {
 	switch {
 	case n < 10:

@@ -17,8 +17,8 @@
 //	lph [-workers N] sweep [id ...]     (runs the paper's experiment suite)
 //	    id: figure1 … figure9, figure11, examples, fagin, cook-levin, lemma13
 //	    (no ids = the whole suite; prints each experiment's report and
-//	    then its "id: ok" or "id: FAILED" line; each experiment's
-//	    instance sweeps shard across the worker pool)
+//	    then its "id: ok" or "id: FAILED" line; -workers reaches only
+//	    figure1 and figure2, every other experiment runs sequentially)
 //
 // Every subcommand body lives in internal/service — the same operation
 // layer the lphd HTTP server routes to — so the CLI and the service run
@@ -194,11 +194,11 @@ func game(args []string, engine search.Options, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// sweep runs the named experiments (all of them with no arguments) on
-// the sharded sweep engine: experiments run in selection order and
-// each one's instance sweeps shard across the worker pool (one fan-out
-// level, so the pool stays inside the -workers budget). Each
-// experiment's full report goes to stdout, followed by its status line.
+// sweep runs the named experiments (all of them with no arguments) in
+// selection order. The engine reaches only figure1's game and figure2's
+// batched separations; the other experiments check their instances one
+// after another. Each experiment's full report goes to stdout, followed
+// by its status line.
 func sweep(args []string, engine search.Options, stdout, stderr io.Writer) int {
 	specs := experiments.Index()
 	if len(args) > 0 {

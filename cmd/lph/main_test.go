@@ -57,8 +57,8 @@ func reduceGolden(t *testing.T, input, name string) string {
 // sweepGolden computes the exact bytes `lph sweep` must print for the
 // given experiment ids: each report as the sequential engine renders
 // it, followed by its status line. Reports are engine-invariant (see
-// experiments.TestAllOptEngineParity), so every -workers value prints
-// the same bytes.
+// experiments.TestEngineParity: only figure1 and figure2 hand -workers
+// to a parallel search), so every -workers value prints the same bytes.
 func sweepGolden(t *testing.T, ids []string) string {
 	t.Helper()
 	var out strings.Builder
@@ -114,10 +114,10 @@ func TestCLITable(t *testing.T) {
 		{"reduce/3color", []string{"reduce", "3color"}, "satgraph.json", 0, "@reduce"},
 		// game.
 		{"game/figure1", []string{"game", "figure1"}, "", 0, figure1Out},
-		// sweep: named experiments through the sharded engine, each full
-		// report and its status line in selection order. cook-levin runs
-		// the τ-translation probes (k = 2, 3 over seven topologies)
-		// against the k-colorability oracle and fails on any mismatch.
+		// sweep: named experiments, each full report and its status
+		// line in selection order. cook-levin runs the τ-translation
+		// probes (k = 2, 3 over seven topologies) against the
+		// k-colorability oracle and fails on any mismatch.
 		{"sweep/one", []string{"sweep", "figure5"}, "", 0, "@sweep"},
 		{"sweep/two", []string{"sweep", "figure9", "figure3"}, "", 0, "@sweep"},
 		{"sweep/workers-seq", []string{"-workers", "1", "sweep", "figure7"}, "", 0, "@sweep"},

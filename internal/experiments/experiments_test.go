@@ -11,8 +11,8 @@ import (
 // repository's index reproduces the paper's claims.
 func TestAllExperiments(t *testing.T) {
 	t.Parallel()
-	for _, rep := range All(search.Default()) {
-		rep := rep
+	for _, s := range Index() {
+		rep := s.Run(search.Default())
 		t.Run(rep.ID, func(t *testing.T) {
 			if !rep.OK() {
 				t.Fatalf("experiment failed:\n%s", rep)

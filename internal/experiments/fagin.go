@@ -24,23 +24,19 @@ func ExampleFormulas() *Report {
 	sweep := func(name string, f logic.Formula, truth func(*graph.Graph) bool,
 		bases []*graph.Graph, opts func(*structure.Rep) logic.Options) {
 		mismatches := 0
-		cases := 0
-		for _, base := range bases {
-			for mask := uint(0); mask < 1<<uint(base.N()); mask++ {
-				g := base.MustWithLabels(graph.BitLabels(base.N(), mask))
-				rep := structure.NewRep(g)
-				o := logic.Options{}
-				if opts != nil {
-					o = opts(rep)
-				}
-				got, err := logic.Sat(rep.Structure, f, o)
-				cases++
-				if err != nil || got != truth(g) {
-					mismatches++
-				}
+		cases := labelings(bases)
+		for _, g := range cases {
+			rep := structure.NewRep(g)
+			o := logic.Options{}
+			if opts != nil {
+				o = opts(rep)
+			}
+			got, err := logic.Sat(rep.Structure, f, o)
+			if err != nil || got != truth(g) {
+				mismatches++
 			}
 		}
-		r.Rows = append(r.Rows, row(fmt.Sprintf("%s (%d cases)", name, cases), 0, mismatches))
+		r.Rows = append(r.Rows, row(fmt.Sprintf("%s (%d cases)", name, len(cases)), 0, mismatches))
 	}
 
 	sweep("Example 4: all-selected ∈ LFO", logic.AllSelected(), props.AllSelected,

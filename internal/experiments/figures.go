@@ -43,8 +43,7 @@ func Figure1(o search.Options) *Report {
 
 // Figure3Hamiltonian reproduces Figures 3/10 (Proposition 19): the
 // all-selected → hamiltonian reduction on the figure's 4-node graph and on
-// exhaustive labelings of small topologies, the labeling sweep sharded
-// across the engine pool.
+// exhaustive labelings of small topologies.
 func Figure3Hamiltonian(o search.Options) *Report {
 	r := &Report{ID: "Figure 3", Title: "all-selected ≤lp hamiltonian (Prop. 19)"}
 	red := reduce.AllSelectedToHamiltonian()
@@ -67,14 +66,14 @@ func Figure3Hamiltonian(o search.Options) *Report {
 			row(tt.name+": cluster map valid", nil, res.Validate(g)),
 		)
 	}
-	mismatches := SweepReduction(red, nil, props.AllSelected, props.Hamiltonian,
+	mismatches := reductionFailures(red, props.AllSelected, props.Hamiltonian,
 		[]*graph.Graph{graph.Path(3), graph.Cycle(4), graph.Star(4)}, o)
 	r.Rows = append(r.Rows, row("exhaustive sweep mismatches", 0, mismatches))
 	return r
 }
 
-// Figure9Eulerian reproduces Figure 9 (Proposition 18), the labeling
-// sweep sharded across the engine pool.
+// Figure9Eulerian reproduces Figure 9 (Proposition 18) on the figure's
+// instance and on exhaustive labelings of small topologies.
 func Figure9Eulerian(o search.Options) *Report {
 	r := &Report{ID: "Figure 9", Title: "all-selected ≤lp eulerian (Prop. 18)"}
 	red := reduce.AllSelectedToEulerian()
@@ -88,14 +87,14 @@ func Figure9Eulerian(o search.Options) *Report {
 		row("figure instance eulerian", false, props.Eulerian(res.Out)),
 		row("cluster map valid", nil, res.Validate(g)),
 	)
-	mismatches := SweepReduction(red, nil, props.AllSelected, props.Eulerian,
+	mismatches := reductionFailures(red, props.AllSelected, props.Eulerian,
 		[]*graph.Graph{graph.Single(""), graph.Path(4), graph.Cycle(4), graph.Complete(4)}, o)
 	r.Rows = append(r.Rows, row("exhaustive sweep mismatches", 0, mismatches))
 	return r
 }
 
-// Figure11CoHamiltonian reproduces Figure 11 (Proposition 20), the
-// labeling sweep sharded across the engine pool.
+// Figure11CoHamiltonian reproduces Figure 11 (Proposition 20) on the
+// figure's instance and on exhaustive labelings of small topologies.
 func Figure11CoHamiltonian(o search.Options) *Report {
 	r := &Report{ID: "Figure 11", Title: "not-all-selected ≤lp hamiltonian (Prop. 20)"}
 	red := reduce.NotAllSelectedToHamiltonian()
@@ -109,7 +108,7 @@ func Figure11CoHamiltonian(o search.Options) *Report {
 		row("figure instance hamiltonian", true, props.Hamiltonian(res.Out)),
 		row("cluster map valid", nil, res.Validate(fig)),
 	)
-	mismatches := SweepReduction(red, nil, props.NotAllSelected, props.Hamiltonian,
+	mismatches := reductionFailures(red, props.NotAllSelected, props.Hamiltonian,
 		[]*graph.Graph{graph.Single(""), graph.Path(2)}, o)
 	r.Rows = append(r.Rows, row("exhaustive sweep mismatches", 0, mismatches))
 	return r
@@ -232,17 +231,15 @@ func Figure6Pictures() *Report {
 }
 
 // Figure8TuringMachine reproduces Figure 8: the faithful three-tape
-// distributed TM, cross-validated against the functional engine, with
-// the exhaustive labeling cross-check sharded across the engine pool
-// (one TM run plus one engine run per instance; errors count as
-// mismatches).
+// distributed TM, cross-validated against the functional engine on
+// exhaustive labelings (one TM run plus one engine run per instance;
+// errors count as mismatches).
 func Figure8TuringMachine(o search.Options) *Report {
 	r := &Report{ID: "Figure 8", Title: "distributed Turing machines"}
 	tm := dtm.AllSelectedMachine()
 	fn := arbiters.AllSelected()
-	bases := []*graph.Graph{graph.Path(3), graph.Cycle(4), graph.Star(4)}
-	cases, _ := LabelingSpace(bases)
-	mismatches := labelingSweep(bases, func(g *graph.Graph) bool {
+	cases := labelings([]*graph.Graph{graph.Path(3), graph.Cycle(4), graph.Star(4)})
+	mismatches := failures(o, cases, func(g *graph.Graph) bool {
 		id := graph.SmallLocallyUnique(g, 1)
 		e, err := tm.Run(g, id, nil, dtm.Options{})
 		if err != nil {
@@ -253,8 +250,8 @@ func Figure8TuringMachine(o search.Options) *Report {
 			return false
 		}
 		return e.Accepted() == ok && e.Accepted() == props.AllSelected(g)
-	}).Failures(o, nil)
-	r.Rows = append(r.Rows, row(fmt.Sprintf("TM vs engine vs ground truth (%d cases)", cases), 0, mismatches))
+	})
+	r.Rows = append(r.Rows, row(fmt.Sprintf("TM vs engine vs ground truth (%d cases)", len(cases)), 0, mismatches))
 
 	// The all-equal TM exercises real message passing (2 rounds).
 	eq := dtm.AllEqualMachine()
@@ -273,14 +270,13 @@ func Figure8TuringMachine(o search.Options) *Report {
 
 // Figure7Ladder reproduces the locality ladder of Figure 7: each property
 // is placed at its level by running the corresponding arbiter/game from
-// the paper on instance sweeps. Every sweep is a Sweep sharded across the
-// engine pool. The instance is the unit of parallelism: each check plays
-// its whole game on the sequential inner engine (the Prepared.Batch
-// discipline), so the pool is saturated by instances rather than by one
-// game's quantifier levels.
+// the paper on instance sweeps. Each game runs on the sequential engine
+// with o's context, so a cancel stops the ladder inside a rung's game too.
 func Figure7Ladder(o search.Options) *Report {
 	r := &Report{ID: "Figure 7", Title: "locality ladder: properties at their levels"}
-	inner := core.Engine{Opts: search.Sequential()}
+	seq := o
+	seq.Workers = 1
+	inner := core.Engine{Opts: seq}
 
 	// strategyCheck plays the three-level certificate game with Eve's
 	// strategies on the uniform middle domain and compares against the
@@ -298,19 +294,20 @@ func Figure7Ladder(o search.Options) *Report {
 		}
 	}
 
-	sweeps := []struct {
-		name  string
-		sweep Sweep
+	rungs := []struct {
+		name   string
+		graphs []*graph.Graph
+		check  func(*graph.Graph) bool
 	}{
 		// eulerian ∈ LP: the even-degree decider matches ground truth.
-		{"eulerian ∈ LP (decider sweep)", graphSweep(
+		{"eulerian ∈ LP (decider sweep)",
 			[]*graph.Graph{graph.Cycle(4), graph.Cycle(5), graph.Path(4), graph.Complete(5), graph.Star(4)},
 			func(g *graph.Graph) bool {
 				ok, err := simulate.Decide(arbiters.Eulerian(), g, graph.SmallLocallyUnique(g, 1), simulate.Options{})
 				return err == nil && ok == props.Eulerian(g)
-			})},
+			}},
 		// 3-colorable ∈ Σ^lp_1: verifier + Eve's coloring strategy.
-		{"3-colorable ∈ Σ^lp_1 (verifier sweep)", graphSweep(
+		{"3-colorable ∈ Σ^lp_1 (verifier sweep)",
 			[]*graph.Graph{graph.Cycle(5), graph.Complete(4), graph.Grid(2, 3), graph.Star(4)},
 			func(g *graph.Graph) bool {
 				arb := &core.Arbiter{Machine: arbiters.ThreeColorable(), Level: core.Sigma(1), RadiusID: 1, Bound: cert.Bound{R: 1, P: cert.Polynomial{0, 2}}}
@@ -321,54 +318,51 @@ func Figure7Ladder(o search.Options) *Report {
 				ok, err := arb.StrategyGameValueEngine(prep,
 					[]core.Strategy{arbiters.ColoringStrategy(3)}, []cert.Domain{{}}, inner)
 				return err == nil && ok == props.ThreeColorable(g)
-			})},
+			}},
 		// hamiltonian ∈ Σ^lp_3: the Example 9 arbiter with Eve's strategies.
-		{"hamiltonian ∈ Σ^lp_3 (game sweep)", graphSweep(
+		{"hamiltonian ∈ Σ^lp_3 (game sweep)",
 			[]*graph.Graph{graph.Cycle(4), graph.Path(4), graph.Star(4), graph.Complete(4)},
 			strategyCheck(games.HamiltonianArbiter,
 				func() []core.Strategy {
 					return []core.Strategy{games.HamiltonianStrategy(), nil, games.RootChargeStrategy()}
-				}, props.Hamiltonian))},
+				}, props.Hamiltonian)},
 		// not-all-selected ∈ Σ^lp_3 but ∉ Σ^lp_1 (see Figure 2 experiment).
-		{"not-all-selected ∈ Σ^lp_3 (game sweep)", labelingSweep(
-			[]*graph.Graph{graph.Path(3), graph.Cycle(4)},
+		{"not-all-selected ∈ Σ^lp_3 (game sweep)",
+			labelings([]*graph.Graph{graph.Path(3), graph.Cycle(4)}),
 			strategyCheck(games.NotAllSelectedArbiter,
 				func() []core.Strategy {
 					return []core.Strategy{games.ForestStrategy(games.IsUnselected), nil, games.ChargeStrategy(nil)}
-				}, props.NotAllSelected))},
+				}, props.NotAllSelected)},
 		// one-selected ∈ Σ^lp_3 via the uniqueness game.
-		{"one-selected ∈ Σ^lp_3 (uniqueness game sweep)", labelingSweep(
-			[]*graph.Graph{graph.Path(3), graph.Star(4)},
+		{"one-selected ∈ Σ^lp_3 (uniqueness game sweep)",
+			labelings([]*graph.Graph{graph.Path(3), graph.Star(4)}),
 			strategyCheck(games.OneSelectedArbiter,
 				func() []core.Strategy {
 					return []core.Strategy{games.ForestStrategy(games.IsSelected), nil, games.ChargeStrategy(games.IsSelected)}
-				}, props.OneSelected))},
+				}, props.OneSelected)},
 		// acyclic ∈ Σ^lp_3 via the spanning-tree game of Section 5.2.
-		{"acyclic ∈ Σ^lp_3 (tree game sweep)", graphSweep(
+		{"acyclic ∈ Σ^lp_3 (tree game sweep)",
 			[]*graph.Graph{graph.Path(4), graph.Star(4), graph.Cycle(4), graph.Complete(4)},
 			strategyCheck(games.AcyclicArbiter,
 				func() []core.Strategy {
 					return []core.Strategy{games.AcyclicStrategy(), nil, games.RootChargeStrategy()}
-				}, props.Acyclic))},
+				}, props.Acyclic)},
 		// odd ∈ Σ^lp_3 via the modulo-two counter game of Section 5.2
 		// (exact game semantics; the machine variant is tested in the
 		// games package).
-		{"odd ∈ Σ^lp_3 (counter game sweep)", graphSweep(
+		{"odd ∈ Σ^lp_3 (counter game sweep)",
 			[]*graph.Graph{graph.Path(3), graph.Path(4), graph.Cycle(5), graph.Star(4)},
-			func(g *graph.Graph) bool { return games.EveWinsOdd(g) == props.Odd(g) })},
+			func(g *graph.Graph) bool { return games.EveWinsOdd(g) == props.Odd(g) }},
 		// non-2-colorable ∈ Σ^lp_3 via the odd-cycle retracing game.
-		{"non-2-colorable ∈ Σ^lp_3 (odd-cycle game sweep)", graphSweep(
+		{"non-2-colorable ∈ Σ^lp_3 (odd-cycle game sweep)",
 			[]*graph.Graph{graph.Cycle(4), graph.Cycle(5), graph.Complete(4), graph.Grid(2, 3)},
 			strategyCheck(games.NonTwoColorableArbiter,
 				func() []core.Strategy {
 					return []core.Strategy{games.NonTwoColorableStrategy(), nil, games.NonTwoColorChargeStrategy()}
-				}, props.NonTwoColorable))},
+				}, props.NonTwoColorable)},
 	}
-	// One rung at a time: the instances within each rung are the
-	// parallel work, so the ladder as a whole stays inside o's worker
-	// budget instead of multiplying it.
-	for _, s := range sweeps {
-		r.Rows = append(r.Rows, row(s.name, 0, s.sweep.Failures(o, nil)))
+	for _, s := range rungs {
+		r.Rows = append(r.Rows, row(s.name, 0, failures(o, s.graphs, s.check)))
 	}
 	return r
 }

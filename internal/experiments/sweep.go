@@ -1,104 +1,53 @@
 package experiments
 
 import (
-	"sort"
-
 	"repro/internal/graph"
 	"repro/internal/reduce"
 	"repro/internal/search"
 )
 
-// This file is the sharded sweep engine: every exhaustive instance
-// sweep in the experiment suite — the reduction sweeps over single-bit
-// labelings, the Figure 7 game sweeps, the Figure 8 TM cross-check —
-// is expressed as a Sweep, a flat work list of independent instance
-// checks scheduled across the search worker pool. The unit of
-// parallelism is the instance, and it is the ONLY fan-out level: each
-// check runs its game on the sequential inner engine (exactly as
-// Prepared.Batch runs one job per worker) and the suite (All) runs
-// its experiments in index order, so a whole suite saturates the pool
-// with instances while never exceeding the worker budget. Checks are
-// pure and failure counting is order-independent, which makes the
-// sharded result provably equal to the sequential one (asserted
-// row-for-row by TestAllOptEngineParity under -race).
-
-// Sweep is a first-class shardable experiment sweep: Len independent
-// instances, instance i passing iff Check(i) is true. Check must be
-// pure and safe for concurrent invocation.
-type Sweep struct {
-	Len   int
-	Check func(i int) bool
+// labelings lists every single-bit labeling of the bases: bases outer,
+// masks inner.
+func labelings(bases []*graph.Graph) []*graph.Graph {
+	var gs []*graph.Graph
+	for _, base := range bases {
+		for mask := uint(0); mask < 1<<uint(base.N()); mask++ {
+			gs = append(gs, base.MustWithLabels(graph.BitLabels(base.N(), mask)))
+		}
+	}
+	return gs
 }
 
-// Failures counts the failing instances, sharding the work list across
-// the engine's worker pool through the search scheduler's atomic
-// cursor. tick, when non-nil, is invoked once per instance from
-// whichever worker ran it (it must be concurrency-safe) — the hook the
-// job engine uses for progress counters.
-func (s Sweep) Failures(o search.Options, tick func()) int {
-	fails := search.Map(o, s.Len, func(i int) bool {
-		ok := s.Check(i)
-		if tick != nil {
-			tick()
-		}
-		return !ok
-	})
+// failures checks the graphs one after another and counts those check
+// rejects. It polls o.Ctx before each check; once the context is
+// cancelled, every graph not yet checked counts as a failure, so a
+// cancelled sweep never reads as clean.
+func failures(o search.Options, gs []*graph.Graph, check func(*graph.Graph) bool) int {
 	n := 0
-	for _, f := range fails {
-		if f {
+	for i, g := range gs {
+		if o.Ctx != nil && o.Ctx.Err() != nil {
+			return n + len(gs) - i
+		}
+		if !check(g) {
 			n++
 		}
 	}
 	return n
 }
 
-// LabelingSpace flattens every single-bit labeling of the base
-// topologies into one indexable work list: instance i is the (base,
-// mask) pair in lexicographic order (bases outer, masks inner), the
-// enumeration order of the old sequential loops. The returned instance
-// function is pure, so shards can decode their items independently.
-func LabelingSpace(bases []*graph.Graph) (int, func(i int) *graph.Graph) {
-	offsets := make([]int, len(bases)+1)
-	for b, g := range bases {
-		offsets[b+1] = offsets[b] + 1<<uint(g.N())
-	}
-	total := offsets[len(bases)]
-	return total, func(i int) *graph.Graph {
-		b := sort.SearchInts(offsets[1:], i+1)
-		g := bases[b]
-		return g.MustWithLabels(graph.BitLabels(g.N(), uint(i-offsets[b])))
-	}
-}
-
-// labelingSweep is the Sweep over every single-bit labeling of the
-// bases, checked by check.
-func labelingSweep(bases []*graph.Graph, check func(*graph.Graph) bool) Sweep {
-	n, instance := LabelingSpace(bases)
-	return Sweep{Len: n, Check: func(i int) bool { return check(instance(i)) }}
-}
-
-// graphSweep is the Sweep over a fixed instance list.
-func graphSweep(gs []*graph.Graph, check func(*graph.Graph) bool) Sweep {
-	return Sweep{Len: len(gs), Check: func(i int) bool { return check(gs[i]) }}
-}
-
-// SweepReduction applies the reduction to every single-bit labeling of
-// the given topologies across the engine pool and counts mismatches
-// between srcProp(G) and dstProp(G'): apply failures, invalid cluster
-// maps, and property disagreements all count.
-func SweepReduction(red reduce.Reduction, idGen func(*graph.Graph) graph.IDAssignment,
-	srcProp, dstProp func(*graph.Graph) bool, bases []*graph.Graph, o search.Options) int {
-	return labelingSweep(bases, func(g *graph.Graph) bool {
-		var id graph.IDAssignment
-		if idGen != nil {
-			id = idGen(g)
-		}
-		res, err := red.Apply(g, id)
+// reductionFailures applies the reduction to every single-bit labeling
+// of the bases and counts mismatches between srcProp(G) and
+// dstProp(G'): apply failures, invalid cluster maps and property
+// disagreements all count.
+func reductionFailures(red reduce.Reduction, srcProp, dstProp func(*graph.Graph) bool,
+	bases []*graph.Graph, o search.Options) int {
+	return failures(o, labelings(bases), func(g *graph.Graph) bool {
+		res, err := red.Apply(g, nil)
 		if err != nil || res.Validate(g) != nil {
 			return false
 		}
 		return srcProp(g) == dstProp(res.Out)
-	}).Failures(o, nil)
+	})
 }
 
 // Spec is one experiment of the suite: a stable slug (the name used by
@@ -143,20 +92,4 @@ func FindSpec(id string) (Spec, bool) {
 		}
 	}
 	return Spec{}, false
-}
-
-// All runs the whole experiment suite on the engine, in index
-// order. Exactly one level fans out: each experiment's instance sweeps
-// shard across the pool, while the experiments themselves run one
-// after another — so the pool never exceeds o's worker budget (nested
-// Map calls would multiply it) and the reports come back in index
-// order with rows identical to the sequential run's (every sweep is a
-// Sweep of pure checks).
-func All(o search.Options) []*Report {
-	specs := Index()
-	out := make([]*Report, len(specs))
-	for i, s := range specs {
-		out[i] = s.Run(o)
-	}
-	return out
 }

@@ -1,8 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
-	"sync/atomic"
+	"strconv"
 	"testing"
 
 	"repro/internal/graph"
@@ -11,85 +12,108 @@ import (
 	"repro/internal/search"
 )
 
-// TestAllOptEngineParity is the sharded-sweep correctness contract: the
-// whole experiment suite through the sweep engine produces row-for-row
-// identical reports on the sequential engine and on a sharded pool
-// (run under -race by make check).
-func TestAllOptEngineParity(t *testing.T) {
+// TestEngineParity: figure1 and figure2 are the experiments that hand
+// their options to a parallel search, so they are the ones whose rows
+// could depend on the engine. Both engines must give equal rows, and
+// the sequential report must pass.
+func TestEngineParity(t *testing.T) {
 	t.Parallel()
-	seq := All(search.Sequential())
-	par := All(search.Parallel(4))
-	if len(seq) != len(par) {
-		t.Fatalf("suite sizes differ: %d vs %d", len(seq), len(par))
+	for _, id := range []string{"figure1", "figure2"} {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			spec, ok := FindSpec(id)
+			if !ok {
+				t.Fatalf("unknown experiment %q", id)
+			}
+			seq := spec.Run(search.Sequential())
+			par := spec.Run(search.Parallel(4))
+			if !seq.OK() {
+				t.Fatalf("sequential report not OK:\n%s", seq)
+			}
+			if !reflect.DeepEqual(seq.Rows, par.Rows) {
+				t.Fatalf("rows diverge between engines:\nseq:\n%s\npar:\n%s", seq, par)
+			}
+		})
 	}
-	for i := range seq {
-		if seq[i].ID != par[i].ID {
-			t.Fatalf("report %d: id %q vs %q", i, seq[i].ID, par[i].ID)
+}
+
+// TestCancelledSweepFailsClosed runs every experiment with an instance
+// sweep on a context that is already cancelled: no report may pass, and
+// every sweep row (the rows expecting 0 failures) must count all of
+// its instances as failed.
+func TestCancelledSweepFailsClosed(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o := search.Options{Workers: 1, Ctx: ctx}
+	for _, tt := range []struct {
+		id        string
+		instances []int // per sweep row, in report order
+	}{
+		{"figure3", []int{8 + 16 + 16}},
+		{"figure7", []int{5, 4, 4, 8 + 16, 8 + 16, 4, 4, 4}},
+		{"figure8", []int{8 + 16 + 16}},
+		{"figure9", []int{2 + 16 + 16 + 16}},
+		{"figure11", []int{2 + 4}},
+	} {
+		spec, ok := FindSpec(tt.id)
+		if !ok {
+			t.Fatalf("unknown experiment %q", tt.id)
 		}
-		if !reflect.DeepEqual(seq[i].Rows, par[i].Rows) {
-			t.Errorf("%s: rows diverge between engines:\nseq:\n%s\npar:\n%s",
-				seq[i].ID, seq[i], par[i])
+		rep := spec.Run(o)
+		if rep.OK() {
+			t.Errorf("%s: cancelled sweep reads OK:\n%s", tt.id, rep)
 		}
-		if !seq[i].OK() {
-			t.Errorf("%s failed on the sequential engine:\n%s", seq[i].ID, seq[i])
+		var got []int
+		for _, r := range rep.Rows {
+			if r.Expected == "0" {
+				n, err := strconv.Atoi(r.Measured)
+				if err != nil {
+					t.Fatalf("%s: row %q measured %q", tt.id, r.Name, r.Measured)
+				}
+				got = append(got, n)
+			}
+		}
+		if !reflect.DeepEqual(got, tt.instances) {
+			t.Errorf("%s: sweep rows measured %v, want every instance failed %v", tt.id, got, tt.instances)
 		}
 	}
 }
 
-// TestSweepFailuresParity checks the counting core on a synthetic work
-// list: sharded == sequential, and the tick hook fires exactly once per
-// instance.
+// TestSweepFailuresParity checks failures against a literal count, and
+// that a cancel partway through counts every unchecked graph as failed.
 func TestSweepFailuresParity(t *testing.T) {
 	t.Parallel()
-	s := Sweep{Len: 1000, Check: func(i int) bool { return i%7 != 0 }}
+	gs := labelings([]*graph.Graph{graph.Path(3), graph.Cycle(4)})
+	allSel := props.AllSelected
 	want := 0
-	for i := 0; i < 1000; i++ {
-		if i%7 == 0 {
+	for _, g := range gs {
+		if !allSel(g) {
 			want++
 		}
 	}
-	var ticks atomic.Int64
-	if got := s.Failures(search.Sequential(), nil); got != want {
-		t.Fatalf("sequential failures %d, want %d", got, want)
+	if got := failures(search.Sequential(), gs, allSel); got != want {
+		t.Fatalf("failures %d, want %d", got, want)
 	}
-	if got := s.Failures(search.Parallel(8), func() { ticks.Add(1) }); got != want {
-		t.Fatalf("sharded failures %d, want %d", got, want)
-	}
-	if ticks.Load() != 1000 {
-		t.Fatalf("ticks %d, want 1000", ticks.Load())
-	}
-}
 
-// TestLabelingSpace pins the flattened enumeration against the nested
-// loops it replaced: bases outer, masks inner, lexicographic.
-func TestLabelingSpace(t *testing.T) {
-	t.Parallel()
-	bases := []*graph.Graph{graph.Path(2), graph.Cycle(3)}
-	n, instance := LabelingSpace(bases)
-	if n != 4+8 {
-		t.Fatalf("total %d, want 12", n)
-	}
-	i := 0
-	for _, base := range bases {
-		for mask := uint(0); mask < 1<<uint(base.N()); mask++ {
-			want := base.MustWithLabels(graph.BitLabels(base.N(), mask))
-			got := instance(i)
-			if got.N() != want.N() {
-				t.Fatalf("instance %d: %d nodes, want %d", i, got.N(), want.N())
-			}
-			for u := 0; u < want.N(); u++ {
-				if got.Label(u) != want.Label(u) {
-					t.Fatalf("instance %d node %d: label %q, want %q", i, u, got.Label(u), want.Label(u))
-				}
-			}
-			i++
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const stop = 5
+	checked := 0
+	got := failures(search.Options{Workers: 1, Ctx: ctx}, gs, func(*graph.Graph) bool {
+		checked++
+		if checked == stop {
+			cancel()
 		}
+		return true
+	})
+	if checked != stop || got != len(gs)-stop {
+		t.Fatalf("cancel after %d checks: checked %d, failures %d, want %d", stop, checked, got, len(gs)-stop)
 	}
 }
 
-// TestSweepReductionMatchesHandRolledLoop pins SweepReduction's
-// semantics against the literal sequential loop it replaced, on both
-// engines.
+// TestSweepReductionMatchesHandRolledLoop pins reductionFailures'
+// semantics against the literal loop over labelings.
 func TestSweepReductionMatchesHandRolledLoop(t *testing.T) {
 	t.Parallel()
 	red := reduce.AllSelectedToEulerian()
@@ -104,10 +128,8 @@ func TestSweepReductionMatchesHandRolledLoop(t *testing.T) {
 			}
 		}
 	}
-	for _, o := range []search.Options{search.Sequential(), search.Parallel(4)} {
-		if got := SweepReduction(red, nil, props.AllSelected, props.Eulerian, bases, o); got != want {
-			t.Fatalf("workers=%d: %d mismatches, want %d", o.Workers, got, want)
-		}
+	if got := reductionFailures(red, props.AllSelected, props.Eulerian, bases, search.Sequential()); got != want {
+		t.Fatalf("%d mismatches, want %d", got, want)
 	}
 }
 

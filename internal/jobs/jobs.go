@@ -112,8 +112,7 @@ type Progress struct{ done, total atomic.Int64 }
 // SetTotal publishes the total number of work items, once known.
 func (p *Progress) SetTotal(n int64) { p.total.Store(n) }
 
-// Add records n more items done. Safe from multiple goroutines, so a
-// sharded sweep can tick from every worker.
+// Add records n more items done. Safe from multiple goroutines.
 func (p *Progress) Add(n int64) { p.done.Add(n) }
 
 // Snapshot returns (done, total).

@@ -72,10 +72,13 @@ func (s *Server) buildJob(req *Request) (jobs.Func, error) {
 			o := search.Options{Workers: workers, Ctx: ctx}
 			res := SweepResult{OK: true}
 			for _, spec := range specs {
-				// Experiments run in index order — their instance sweeps
-				// are the parallel work — and a cancelled job stops
-				// between experiments (the sweeps inside abort through
-				// o.Ctx as well).
+				// Experiments run in index order and a cancelled job
+				// stops between them. Inside an experiment, the instance
+				// sweeps poll o.Ctx before each instance and count the
+				// unchecked rest as failed, and the games abort through
+				// o.Ctx too; the ignoreEngine experiments (cook-levin,
+				// examples and the rest) cancel only between
+				// experiments.
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}

@@ -177,9 +177,8 @@ func TestServiceJobLifecycle(t *testing.T) {
 	}
 }
 
-// TestServiceSweepJob runs the flagship job: the whole experiment suite
-// through the sharded sweep engine, asynchronously, with per-experiment
-// progress.
+// TestServiceSweepJob runs the flagship job: the whole experiment suite,
+// asynchronously, with per-experiment progress.
 func TestServiceSweepJob(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{Workers: 2, CacheSize: 2})
 	var sub jobs.Status
