@@ -99,6 +99,9 @@ bench-build:
 # the pruned walk, head walk and pool together, must visit exactly the
 # assignments a brute-force model of the keeps leaves uncovered, and
 # Exists and ForAll must give the sequential engine's values.
+# FuzzRouteKey runs the router's one-pass key scan beside the full
+# encoding/json + graphio decode it replaced: on any body each route's
+# key is the decode's key or the raw-body key, never another graph's.
 # Invariant for all: no panics; the journal replay additionally
 # recovers every record before the first corruption.
 # Minimization is bounded to 1s per new input: at Go's default of 60s,
@@ -115,6 +118,7 @@ fuzz:
 	$(FUZZ) -fuzz=FuzzIncrementalRun ./internal/simulate
 	$(FUZZ) -fuzz=FuzzPrunedWalk ./internal/search
 	$(FUZZ) -fuzz=FuzzTraceparent ./internal/obs
+	$(FUZZ) -fuzz=FuzzRouteKey ./internal/router
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
@@ -430,6 +434,6 @@ help:
 	@echo "make fuzz        - 5s fuzz smokes: FuzzReadGraph + FuzzDecodeRequest + FuzzIdempotencyKey + FuzzReplayJournal + FuzzMemoKey + FuzzTupleCodec + FuzzIncrementalRun + FuzzPrunedWalk + FuzzTraceparent"
 	@echo "make bench       - smoke-run every benchmark once"
 	@echo "make bench-json  - record every benchmark for BENCHTIME (default 200ms) in BENCH_pr10.json"
-	@echo "make bench-delta - fail if BENCH_pr10.json regresses an engine pair >10% vs BENCH_pr9.json, tracing overhead >10%, or router hop >2x"
+	@echo "make bench-delta - fail if BENCH_pr10.json regresses an engine pair >10% vs BENCH_pr9.json, tracing overhead >10%, or router hop >3x direct"
 	@echo "make serve-smoke - boot lphd, walk the API (incl. trace propagation), SIGKILL + recovery, SIGTERM drain + admin drain, then router-smoke"
 	@echo "make router-smoke - 3-node pool behind lphrouter: SIGKILL the job owner mid-sweep, zero failed client requests, replay on rejoin"

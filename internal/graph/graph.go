@@ -141,7 +141,7 @@ func MustNew(n int, edges []Edge, labels []string) *Graph {
 }
 
 // IsBitString reports whether s consists solely of '0' and '1' characters.
-func IsBitString(s string) bool {
+func IsBitString[S ~string | ~[]byte](s S) bool {
 	for i := 0; i < len(s); i++ {
 		if s[i] != '0' && s[i] != '1' {
 			return false

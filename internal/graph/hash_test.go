@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -86,5 +87,58 @@ func TestHashDistinguishesGenerators(t *testing.T) {
 	d := Path(2).MustWithLabels([]string{"0", "1"})
 	if c.Hash() == d.Hash() {
 		t.Fatal("hash is ambiguous across label boundaries")
+	}
+}
+
+// TestHashOfMatchesHash: HashOf on a raw edge list — shuffled, with
+// endpoints flipped and edges repeated — equals the Hash of the graph
+// New builds from it, with labels as strings, as byte spans, and
+// omitted. The router keys requests with HashOf and the node's cache
+// with Hash, so this equality is what keeps a graph's requests on the
+// node that holds it.
+func TestHashOfMatchesHash(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 100; trial++ {
+		n := 1 + rng.Intn(12)
+		g := RandomConnected(n, 0.4, rng)
+		labels := make([]string, n)
+		spans := make([][]byte, n)
+		for u := range labels {
+			labels[u] = [...]string{"", "0", "1", "01", "110"}[rng.Intn(5)]
+			spans[u] = []byte(labels[u])
+		}
+		perm := g.Edges()
+		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		for i := range perm {
+			if rng.Intn(2) == 0 {
+				perm[i] = Edge{U: perm[i].V, V: perm[i].U}
+			}
+		}
+		for d := rng.Intn(3); d > 0 && len(perm) > 0; d-- {
+			perm = append(perm, perm[rng.Intn(len(perm))])
+		}
+		want := MustNew(n, perm, labels).Hash()
+		if got := HashOf(n, slices.Clone(perm), labels); got != want {
+			t.Fatalf("trial %d: HashOf(string labels) = %s, Hash = %s", trial, got, want)
+		}
+		if got := HashOf(n, slices.Clone(perm), spans); got != want {
+			t.Fatalf("trial %d: HashOf(byte-span labels) = %s, Hash = %s", trial, got, want)
+		}
+		unlabeled := MustNew(n, perm, nil).Hash()
+		if got := HashOf[string](n, slices.Clone(perm), nil); got != unlabeled {
+			t.Fatalf("trial %d: HashOf(nil labels) = %s, Hash = %s", trial, got, unlabeled)
+		}
+	}
+
+	// The byte layout is pinned: this digest predates HashOf, so keys
+	// computed by an older router or node still match.
+	const pinned = "2b600dc607bbbb22b72fe56c601e29ab456f151313906dc46153e3049eb96dc7"
+	fixed := MustNew(4, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}}, []string{"1", "0", "11", ""})
+	if got := fixed.Hash(); got != pinned {
+		t.Fatalf("Hash of the fixed labelled graph = %s, want %s", got, pinned)
+	}
+	if got := HashOf(4, []Edge{{2, 0}, {1, 0}, {3, 2}, {0, 3}, {2, 1}, {0, 1}}, []string{"1", "0", "11", ""}); got != pinned {
+		t.Fatalf("HashOf of the fixed labelled graph = %s, want %s", got, pinned)
 	}
 }

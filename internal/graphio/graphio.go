@@ -14,7 +14,10 @@ import (
 //
 //	{"n": 3, "edges": [[0,1],[1,2]], "labels": ["1","0","1"]}
 //
-// Labels may be omitted (all empty).
+// Labels may be omitted (all empty). The router does not decode this
+// format: it scans request bodies for it byte by byte to key them by
+// graph.HashOf (internal/router key.go), and FuzzRouteKey pins that
+// scan to what Decode reads.
 type JSON struct {
 	N      int      `json:"n"`
 	Edges  [][2]int `json:"edges"`

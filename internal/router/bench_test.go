@@ -2,12 +2,15 @@ package router
 
 import (
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/service"
 )
 
@@ -56,4 +59,44 @@ func BenchmarkRouterHop(b *testing.B) {
 			post(front.URL)
 		}
 	})
+}
+
+// BenchmarkRouteKey times the affinity key of a verdict body the way
+// serve-hot sends it (compact, edges shuffled with random endpoint
+// order, labels present): a labelled 30-node grid and a 7-node random
+// graph.
+func BenchmarkRouteKey(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"grid5x6", graph.Grid(5, 6)},
+		{"n7", graph.RandomConnected(7, 0.4, rng)},
+	} {
+		body := []byte(servedBody(c.g.MustWithLabels(randomBits(c.g.N(), rng)), "all-selected", rng))
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				keySink = graphKey(body)
+			}
+		})
+	}
+}
+
+var keySink string
+
+// randomBits draws n one-bit labels.
+func randomBits(n int, rng *rand.Rand) []string {
+	labels := make([]string, n)
+	for u := range labels {
+		labels[u] = strconv.Itoa(rng.Intn(2))
+	}
+	return labels
+}
+
+// servedBody is a compact verdict body with g's edges shuffled and each
+// edge's endpoints in random order, as lphbench's serve-hot sends them.
+func servedBody(g *graph.Graph, property string, rng *rand.Rand) string {
+	return `{"graph":` + compactGraph(g, shuffledEdges(g, rng), true) + `,"property":` + strconv.Quote(property) + `}`
 }

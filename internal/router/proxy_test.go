@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -12,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/graph"
+	"repro/internal/graphio"
 	"repro/internal/service"
 )
 
@@ -161,15 +164,54 @@ func TestAffinityWarmCache(t *testing.T) {
 	if cs.Misses != 1 || cs.Hits < repeats-1 {
 		t.Fatalf("home node cache %+v, want 1 miss and >= %d hits", cs, repeats-1)
 	}
-	// A different serialization of the same graph (whitespace, edge
-	// order is canonicalized by the hash) still reaches the same node.
-	reordered := `{"graph":{"n":3,"edges":[[1,2],[0,1],[2,0]],"labels":["1","1","1"]},"property":"all-selected"}`
-	mid := p.counters()
-	if resp, body := p.do(t, http.MethodPost, "/v1/decide", reordered, nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("reordered verify: %d %s", resp.StatusCode, body)
+	// Every other serialization of the triangle keys like the first and
+	// reaches the same node.
+	var indented bytes.Buffer
+	if err := graphio.Encode(&indented, graph.Cycle(3).MustWithLabels([]string{"1", "1", "1"})); err != nil {
+		t.Fatal(err)
 	}
-	if got := p.servingNode(t, mid); got != home {
-		t.Fatalf("reordered body routed to node %d, want the canonical home %d", got, home)
+	const prop = `"property":"all-selected"`
+	for _, c := range []struct{ name, body string }{
+		{"reordered edges", `{"graph":{"n":3,"edges":[[1,2],[0,1],[2,0]],"labels":["1","1","1"]},` + prop + `}`},
+		{"flipped endpoints", `{"graph":{"n":3,"edges":[[1,0],[2,1],[0,2]],"labels":["1","1","1"]},` + prop + `}`},
+		{"duplicate edge", `{"graph":{"n":3,"edges":[[0,1],[1,2],[2,0],[1,0]],"labels":["1","1","1"]},` + prop + `}`},
+		{"graphio.Encode", `{"graph": ` + indented.String() + `, ` + prop + `}`},
+		{"labels before n", `{"graph":{"labels":["1","1","1"],"edges":[[0,1],[1,2],[2,0]],"n":3},` + prop + `}`},
+		{"property before graph", `{` + prop + `,"graph":{"n":3,"edges":[[0,1],[1,2],[2,0]],"labels":["1","1","1"]}}`},
+		{"workers", `{"graph":{"n":3,"edges":[[0,1],[1,2],[2,0]],"labels":["1","1","1"]},` + prop + `,"workers":2}`},
+	} {
+		if got, want := graphKey([]byte(c.body)), graphKey([]byte(triangleBody)); got != want {
+			t.Errorf("%s: key %s, want the triangle's %s", c.name, got, want)
+		}
+		mid := p.counters()
+		if resp, body := p.do(t, http.MethodPost, "/v1/decide", c.body, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", c.name, resp.StatusCode, body)
+		}
+		if got := p.servingNode(t, mid); got != home {
+			t.Errorf("%s: routed to node %d, want the canonical home %d", c.name, got, home)
+		}
+	}
+
+	// A batch keys on its graphs' hashes, so re-serialized graphs keep
+	// it on one node too.
+	const square = `{"n":4,"edges":[[0,1],[1,2],[2,3],[3,0]],"labels":["1","1","1","1"]}`
+	batch := `{"op":"decide",` + prop + `,"graphs":[` + square + `,{"n":3,"edges":[[0,1],[1,2],[2,0]],"labels":["1","1","1"]}]}`
+	reserialized := `{"graphs":[{"labels":["1","1","1","1"],"n":4,"edges":[[3,0],[2,1],[1,0],[3,2],[0,1]]},` +
+		"\n{ \"n\": 3, \"edges\": [[2,0], [1,2], [0,1]], \"labels\": [\"1\",\"1\",\"1\"] }]," + prop + `,"op":"decide"}`
+	if got, want := batchKey([]byte(reserialized)), batchKey([]byte(batch)); got != want || !strings.HasPrefix(got, "batch/") {
+		t.Errorf("re-serialized batch key %s, want %s", got, want)
+	}
+	before = p.counters()
+	if resp, body := p.do(t, http.MethodPost, "/v1/batch", batch, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %d %s", resp.StatusCode, body)
+	}
+	batchHome := p.servingNode(t, before)
+	mid := p.counters()
+	if resp, body := p.do(t, http.MethodPost, "/v1/batch", reserialized, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("re-serialized batch: %d %s", resp.StatusCode, body)
+	}
+	if got := p.servingNode(t, mid); got != batchHome {
+		t.Errorf("re-serialized batch routed to node %d, want its home %d", got, batchHome)
 	}
 }
 

@@ -5,15 +5,17 @@
 // the next ring candidate, and drives rolling restarts through the
 // per-instance drain lphd already has.
 //
-// Routing. Each request's affinity key is extracted from the body
-// without a full decode (see affinity): graph routes key on the
-// canonical graph.Hash(), batches on the hash of their graphs' hashes,
-// games on the game name, job submissions on their Idempotency-Key (or
-// body hash), and job-id routes (GET/DELETE /v1/jobs/{id}) on the
-// job-id→instance binding recorded when the submit response passed
-// through. Keys score members with rendezvous hashing, so membership
-// changes remap only the departed member's keys (≤ K/N of K keys,
-// property-tested in ring_test.go).
+// Routing. Each request's affinity key comes from one byte scan of the
+// body, with no JSON decode and no graph built (see affinity and scan):
+// graph routes key on graph.HashOf of the body's graph, which equals
+// the graph.Hash() the node's Prepared cache is keyed by; batches on
+// the hash of their graphs' hashes; games on the game name; job
+// submissions on their Idempotency-Key (or body hash); and job-id
+// routes (GET/DELETE /v1/jobs/{id}) on the job-id→instance binding
+// recorded when the submit response passed through. A body the scan
+// declines keys on its raw bytes. Keys score members with rendezvous
+// hashing, so membership changes remap only the departed member's keys
+// (≤ K/N of K keys, property-tested in ring_test.go).
 //
 // Membership. A reconciler loop full-state-syncs the desired instance
 // list against each node's GET /v1/healthz: healthy nodes are active,
