@@ -94,18 +94,21 @@ func colorBits(k int) int {
 // κ1(u) is u's color, encoded as exactly colorBits(k) characters from
 // {0,1} with a value below k; nodes exchange colors in one round and
 // verify validity and properness in the next. A node whose own
-// certificate is no color rejects and halts in round 1. This is the
-// machine side of Example 5 / Theorem 23.
+// certificate is no color rejects and halts in round 1. A node that
+// rejects in round 2 blames its first neighbour of the same color: that
+// neighbour's message alone fixes the reject. This is the machine side
+// of Example 5 / Theorem 23.
 func KColorable(k int) *simulate.Machine {
 	width := colorBits(k)
 	type st struct {
 		color string
 		ok    bool
+		blame int // the first port whose color is mine (−1: none)
 	}
 	return &simulate.Machine{
 		Name: fmt.Sprintf("nlp:%d-colorable", k),
 		Init: func(in simulate.Input) any {
-			s := &st{}
+			s := &st{blame: -1}
 			if len(in.Certs) >= 1 {
 				s.color = in.Certs[0]
 			}
@@ -125,14 +128,15 @@ func KColorable(k int) *simulate.Machine {
 			if round == 1 {
 				return simulate.Broadcast(recv, s.color), !s.ok
 			}
-			for _, m := range recv {
-				if m == s.color {
-					s.ok = false // a neighbor shares my color
+			for j, m := range recv {
+				if m == s.color && s.ok {
+					s.ok, s.blame = false, j // a neighbor shares my color
 				}
 			}
 			return nil, true
 		},
 		Output: func(sv any) string { return verdict(sv.(*st).ok) },
+		Blame:  func(sv any) int { return sv.(*st).blame },
 	}
 }
 
@@ -206,18 +210,20 @@ func decodeValuation(s string) (map[string]bool, bool) {
 // Eve's certificate κ1(u) encodes a valuation of the variables of u's
 // formula; each node checks in one communication round that its valuation
 // satisfies its own formula and agrees with its neighbors' valuations on
-// all shared variables.
+// all shared variables. A node that rejects in round 2 blames the first
+// neighbour whose valuation is malformed or disagrees with its own.
 func SatGraph() *simulate.Machine {
 	type st struct {
 		ok      bool
 		formula sat.Formula
 		val     map[string]bool
 		enc     string
+		blame   int // the first port whose valuation failed a check (−1: none)
 	}
 	return &simulate.Machine{
 		Name: "nlp:sat-graph",
 		Init: func(in simulate.Input) any {
-			s := &st{ok: true}
+			s := &st{ok: true, blame: -1}
 			f, err := sat.DecodeLabel(in.Label)
 			if err != nil {
 				s.ok = false
@@ -253,21 +259,21 @@ func SatGraph() *simulate.Machine {
 			if !s.ok {
 				return nil, true
 			}
-			for _, m := range recv {
+			for j, m := range recv {
 				nval, valid := decodeValuation(m)
-				if !valid {
-					s.ok = false
-					continue
-				}
 				for name, b := range s.val {
 					if nb, shared := nval[name]; shared && nb != b {
-						s.ok = false
+						valid = false
 					}
+				}
+				if !valid && s.ok {
+					s.ok, s.blame = false, j
 				}
 			}
 			return nil, true
 		},
 		Output: func(sv any) string { return verdict(sv.(*st).ok) },
+		Blame:  func(sv any) int { return sv.(*st).blame },
 	}
 }
 

@@ -570,7 +570,16 @@ func (a *Arbiter) StrategyGameValueEngine(prep *simulate.Prepared, strategies []
 // node when all components have halted there. combine merges the
 // component outputs into the product's output; the default conjoins
 // verdicts ("1" iff all "1").
+//
+// Under the default, a rejecting component rejects the product, so the
+// product passes on the blame of its first component that rejected in
+// round 2 or later and names a port (see simulate.Machine.Blame): the
+// component sees exactly the messages it would see alone, and the
+// product halts no earlier than it, so the component's region lies
+// within the product's. A custom combine may accept over a rejecting
+// component, so such a product declares no Blame.
 func Product(name string, combine func(outputs []string) string, machines ...*simulate.Machine) *simulate.Machine {
+	var blame func(st any) int
 	if combine == nil {
 		combine = func(outputs []string) string {
 			for _, o := range outputs {
@@ -579,6 +588,19 @@ func Product(name string, combine func(outputs []string) string, machines ...*si
 				}
 			}
 			return "1"
+		}
+		blame = func(st any) int {
+			t := st.(*tupleNode)
+			for i, m := range machines {
+				c := t.comps[i]
+				if m.Blame == nil || c.done < 2 || m.Output(c.state) == "1" {
+					continue
+				}
+				if j := m.Blame(c.state); j >= 0 {
+					return j
+				}
+			}
+			return -1
 		}
 	}
 	return &simulate.Machine{
@@ -606,6 +628,7 @@ func Product(name string, combine func(outputs []string) string, machines ...*si
 			}
 			return combine(outs)
 		},
+		Blame: blame,
 	}
 }
 

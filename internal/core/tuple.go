@@ -97,8 +97,8 @@ type tupleNode struct {
 }
 
 type tupleComp struct {
-	state  any
-	halted bool
+	state any
+	done  int // the round the component halted in (0: still running)
 }
 
 // init allocates the buffers for comps plus extra trailing parts per
@@ -134,13 +134,15 @@ func (t *tupleNode) step(i int, m *simulate.Machine, round int) (justHalted bool
 	k, d := len(t.comps), t.deg
 	send := t.rows[(k+i)*d : (k+i+1)*d]
 	c := &t.comps[i]
-	if c.halted {
+	if c.done > 0 {
 		clear(send)
 		return false
 	}
 	out, halt := m.Round(c.state, round, t.rows[i*d:(i+1)*d:(i+1)*d])
 	clear(send[copy(send, out):])
-	c.halted = halt
+	if halt {
+		c.done = round
+	}
 	return halt
 }
 
@@ -179,7 +181,7 @@ func (t *tupleNode) pack() []string {
 // allHalted reports whether every component has halted.
 func (t *tupleNode) allHalted() bool {
 	for _, c := range t.comps {
-		if !c.halted {
+		if c.done == 0 {
 			return false
 		}
 	}

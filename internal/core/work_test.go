@@ -64,11 +64,11 @@ func TestGamesColdWork(t *testing.T) {
 		want workCounts
 	}{
 		{"default sequential", core.Engine{Opts: seq}, true,
-			workCounts{{1539, 2093}, {18, 23}, {27, 35}, {13, 35}, {2047, 10223}}},
+			workCounts{{1539, 2093}, {18, 23}, {27, 35}, {13, 35}, {391, 1943}}},
 		{"default Parallel(2)", core.Engine{Opts: search.Parallel(2)}, true,
-			workCounts{{1539, 2182}, {18, 23}, {27, 35}, {13, 35}, {2047, 10223}}},
+			workCounts{{1539, 2182}, {18, 23}, {27, 35}, {13, 35}, {391, 1943}}},
 		{"no memo", core.Engine{Opts: seq}, false,
-			workCounts{{1539, 2093}, {18, 23}, {27, 35}, {13, 35}, {2047, 10223}}},
+			workCounts{{1539, 2093}, {18, 23}, {27, 35}, {13, 35}, {391, 1943}}},
 		{"no pooled leaves (no incremental runs, no backjumping)", core.Engine{Opts: seq, NoPool: true}, true,
 			workCounts{{25839, 129195}, {729, 4374}, {19683, 177147}, {2187, 15309}, {16807, 84035}}},
 	}

@@ -34,6 +34,75 @@ func haltNotBefore(m *simulate.Machine, r int, early *int) *simulate.Machine {
 // for every catalog format, and well-formed but wrong ones.
 var garbage = []string{"", "0", "1", "10", "11", "111", "x", ":", ",", "|", ";", "0:1", "1|0|1|1", "A:1", "A:0;B:1", "A:2"}
 
+// bits draws a random connected graph on n nodes with 0/1 labels.
+func bits(rng *rand.Rand, n int) *graph.Graph {
+	return graph.RandomConnected(n, 0.4, rng).MustWithLabels(graph.BitLabels(n, uint(rng.Intn(1<<n))))
+}
+
+// formulas are the node formulas of the generated Boolean graphs.
+var formulas = []string{"A", "~A", "A|B", "A&~B", "~B|C", "A&B", "B|~C"}
+
+// formulaLabel draws a node label of a Boolean graph: a formula, or
+// now and then a label that is none.
+func formulaLabel(rng *rand.Rand) string {
+	if rng.Intn(8) == 0 {
+		return "01" // not a formula
+	}
+	return sat.EncodeLabel(sat.MustParse(formulas[rng.Intn(len(formulas))]))
+}
+
+// boolean draws a random connected Boolean graph on n nodes, some of
+// whose labels are no formula.
+func boolean(rng *rand.Rand, n int) *graph.Graph {
+	fs := make([]sat.Formula, n)
+	for u := range fs {
+		fs[u] = sat.MustParse(formulas[rng.Intn(len(formulas))])
+	}
+	bg, err := sat.NewBooleanGraph(graph.RandomConnected(n, 0.4, rng), fs)
+	if err != nil {
+		panic(err)
+	}
+	labels := make([]string, n)
+	for u := range labels {
+		labels[u] = bg.G.Label(u)
+		if rng.Intn(8) == 0 {
+			labels[u] = "01" // not a formula
+		}
+	}
+	return bg.G.MustWithLabels(labels)
+}
+
+// playMoves returns the certificate lists of one play on (g, id): each
+// move by its strategy, or Adam's random challenge bits where the
+// strategy is nil, and then, in two plays of three, every certificate
+// replaced by garbage with probability 1/5.
+func playMoves(t *testing.T, rng *rand.Rand, g *graph.Graph, id graph.IDAssignment, m *simulate.Machine, strategies []core.Strategy) [][]string {
+	n := g.N()
+	var moves []cert.Assignment
+	for _, s := range strategies {
+		var k cert.Assignment
+		if s == nil {
+			k = cert.Assignment(graph.BitLabels(n, uint(rng.Intn(1<<n))))
+		} else {
+			var err error
+			if k, err = s(g, id, moves); err != nil {
+				t.Fatalf("%s: strategy: %v", m.Name, err)
+			}
+		}
+		moves = append(moves, k)
+	}
+	if rng.Intn(3) > 0 {
+		for _, k := range moves {
+			for u := range k {
+				if rng.Intn(5) == 0 {
+					k[u] = garbage[rng.Intn(len(garbage))]
+				}
+			}
+		}
+	}
+	return cert.NodeLists(moves...)
+}
+
 // TestEarlyHaltKeepsOutputs: a catalog verifier halts a node once its
 // verdict is fixed and it has nothing left to send. On generated graphs
 // under Eve's strategies, with certificates redrawn at random, every
@@ -43,28 +112,6 @@ var garbage = []string{"", "0", "1", "10", "11", "111", "x", ":", ",", "|", ";",
 // arrive, so received bytes are equal whenever the round counts are.
 func TestEarlyHaltKeepsOutputs(t *testing.T) {
 	t.Parallel()
-	bits := func(rng *rand.Rand, n int) *graph.Graph {
-		return graph.RandomConnected(n, 0.4, rng).MustWithLabels(graph.BitLabels(n, uint(rng.Intn(1<<n))))
-	}
-	formulas := []string{"A", "~A", "A|B", "A&~B", "~B|C", "A&B", "B|~C"}
-	boolean := func(rng *rand.Rand, n int) *graph.Graph {
-		fs := make([]sat.Formula, n)
-		for u := range fs {
-			fs[u] = sat.MustParse(formulas[rng.Intn(len(formulas))])
-		}
-		bg, err := sat.NewBooleanGraph(graph.RandomConnected(n, 0.4, rng), fs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		labels := make([]string, n)
-		for u := range labels {
-			labels[u] = bg.G.Label(u)
-			if rng.Intn(8) == 0 {
-				labels[u] = "01" // not a formula
-			}
-		}
-		return bg.G.MustWithLabels(labels)
-	}
 	cases := []struct {
 		m      *simulate.Machine
 		rounds int // the round every node halted in before
@@ -87,29 +134,7 @@ func TestEarlyHaltKeepsOutputs(t *testing.T) {
 			n := 1 + rng.Intn(7)
 			g := c.graph(rng, n)
 			id := graph.SmallLocallyUnique(g, 1)
-			var moves []cert.Assignment
-			for _, s := range c.moves {
-				var k cert.Assignment
-				if s == nil {
-					k = cert.Assignment(graph.BitLabels(n, uint(rng.Intn(1<<n))))
-				} else {
-					var err error
-					if k, err = s(g, id, moves); err != nil {
-						t.Fatalf("%s: strategy: %v", c.m.Name, err)
-					}
-				}
-				moves = append(moves, k)
-			}
-			if rng.Intn(3) > 0 {
-				for _, k := range moves {
-					for u := range k {
-						if rng.Intn(5) == 0 {
-							k[u] = garbage[rng.Intn(len(garbage))]
-						}
-					}
-				}
-			}
-			certs := cert.NodeLists(moves...)
+			certs := playMoves(t, rng, g, id, c.m, c.moves)
 			prep, err := simulate.Prepare(g, id)
 			if err != nil {
 				t.Fatal(err)

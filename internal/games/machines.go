@@ -43,10 +43,13 @@ type ptState struct {
 	parentY     bool
 	unique      bool // running verdict for the uniqueness checks
 	targetHolds bool
+	// blame is the first port whose message alone failed a check (−1:
+	// none); see simulate.Machine.Blame.
+	blame int
 }
 
 func parsePTState(in simulate.Input, target LocalTarget) *ptState {
-	s := &ptState{in: in, ok: true, unique: true}
+	s := &ptState{in: in, ok: true, unique: true, blame: -1}
 	s.targetHolds = target(in)
 	k1, k2, k3 := "", "", ""
 	if len(in.Certs) > 0 {
@@ -80,6 +83,39 @@ func (s *ptState) round1Msg() string {
 	return strings.Join(parts, ",")
 }
 
+// fail records a failed check. port ≥ 0 names the port whose message,
+// with the node's own state, failed it whatever the other ports send;
+// the node blames the first such port.
+func (s *ptState) fail(port int) {
+	s.ok = false
+	if s.blame < 0 {
+		s.blame = port
+	}
+}
+
+// blamePort returns the port the node blames (−1: none).
+func (s *ptState) blamePort() int { return s.blame }
+
+// ptBlame is the Blame of every machine whose state embeds a ptState.
+func ptBlame(st any) int { return st.(interface{ blamePort() int }).blamePort() }
+
+// parseAll parses every round-1 message of recv into neighbors. A
+// malformed message fails the node, blaming its port; neighbors[j] is
+// then port j's sender only up to that port, which no later blame
+// needs, since the first blame stands.
+func (s *ptState) parseAll(recv []string) []neighborInfo {
+	var neighbors []neighborInfo
+	for j, m := range recv {
+		nb, ok := parseNeighbor(m)
+		if !ok {
+			s.fail(j)
+			continue
+		}
+		neighbors = append(neighbors, nb)
+	}
+	return neighbors
+}
+
 func bit(b bool) string {
 	if b {
 		return "1"
@@ -109,7 +145,12 @@ func parseNeighbor(msg string) (neighborInfo, bool) {
 	}, true
 }
 
-// checkPointsTo performs the round-2 local checks of the PointsTo schema.
+// checkPointsTo performs the round-2 local checks of the PointsTo
+// schema. It runs only when every message parsed, so neighbors[j] is
+// port j's sender. A failed ChildCase blames the parent: whatever the
+// other ports send, a second neighbour with the parent's identifier
+// fails UniqueParent instead. A failed Z agreement blames the
+// disagreeing port: the check runs only while every other check holds.
 func (s *ptState) checkPointsTo(neighbors []neighborInfo, unique bool) {
 	if !s.ok {
 		return
@@ -117,36 +158,36 @@ func (s *ptState) checkPointsTo(neighbors []neighborInfo, unique bool) {
 	if s.isRoot {
 		// RootCase[ϑ]: the root must satisfy the target and be positive.
 		if !s.targetHolds || !s.y {
-			s.ok = false
+			s.fail(-1)
 		}
 	} else {
 		// UniqueParent: the claimed parent must be exactly one neighbor.
-		found := 0
-		for _, nb := range neighbors {
+		found, parent := 0, -1
+		for j, nb := range neighbors {
 			if nb.id == s.parentID {
 				found++
-				s.parentY = nb.y
+				s.parentY, parent = nb.y, j
 			}
 		}
 		if found != 1 {
-			s.ok = false
+			s.fail(-1)
 		} else {
 			// ChildCase: Y(u) = Y(parent) XOR X(u).
 			if s.y != (s.parentY != s.x) {
-				s.ok = false
+				s.fail(parent)
 			}
 		}
 	}
 	if unique && s.ok {
 		// BelievesInOne[ϑ]: all nodes agree on Z; target nodes tie Z to
 		// their own challenge membership.
-		for _, nb := range neighbors {
+		for j, nb := range neighbors {
 			if nb.z != s.z {
-				s.ok = false
+				s.fail(j)
 			}
 		}
 		if s.targetHolds && s.z != s.x {
-			s.ok = false
+			s.fail(-1)
 		}
 	}
 }
@@ -162,19 +203,11 @@ func newPointsToMachine(name string, target LocalTarget, unique bool) *simulate.
 			if round == 1 {
 				return simulate.Broadcast(recv, s.round1Msg()), !s.ok
 			}
-			var neighbors []neighborInfo
-			for _, m := range recv {
-				nb, ok := parseNeighbor(m)
-				if !ok {
-					s.ok = false
-					continue
-				}
-				neighbors = append(neighbors, nb)
-			}
-			s.checkPointsTo(neighbors, unique)
+			s.checkPointsTo(s.parseAll(recv), unique)
 			return nil, true
 		},
 		Output: func(sv any) string { return bit(sv.(*ptState).ok) },
+		Blame:  ptBlame,
 	}
 }
 
@@ -395,13 +428,8 @@ func HamiltonianArbiter() *core.Arbiter {
 			case 1:
 				return simulate.Broadcast(recv, s.round1Msg()), false
 			case 2:
-				for _, m := range recv {
-					nb, ok := parseNeighbor(m)
-					if !ok {
-						s.ok = false
-						continue
-					}
-					h.neighbors = append(h.neighbors, nb)
+				h.neighbors = s.parseAll(recv)
+				for _, nb := range h.neighbors {
 					if nb.parentID == s.in.ID && !nb.isRoot {
 						h.childCount++
 					}
@@ -409,7 +437,7 @@ func HamiltonianArbiter() *core.Arbiter {
 				s.checkPointsTo(h.neighbors, true)
 				// MaxOneChild.
 				if h.childCount > 1 {
-					s.ok = false
+					s.fail(-1)
 				}
 				h.isLeaf = h.childCount == 0
 				// Announce leaf status (and echo the parent claim so the
@@ -430,13 +458,14 @@ func HamiltonianArbiter() *core.Arbiter {
 						}
 					}
 					if !seen {
-						s.ok = false
+						s.fail(-1)
 					}
 				}
 				return nil, true
 			}
 		},
 		Output: func(sv any) string { return bit(sv.(*hamState).ok) },
+		Blame:  ptBlame,
 	}
 	return &core.Arbiter{
 		Machine:  m,

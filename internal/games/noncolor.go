@@ -98,10 +98,10 @@ func NonTwoColorableArbiter() *core.Arbiter {
 			}
 			var neighbors []neighborInfo
 			var cyc []oddCycleNeighbor
-			for _, m := range recv {
+			for j, m := range recv {
 				nb, ok := parseOddCycleNeighbor(m)
 				if !ok {
-					s.ok = false
+					s.fail(j)
 					continue
 				}
 				neighbors = append(neighbors, nb.neighborInfo)
@@ -111,23 +111,24 @@ func NonTwoColorableArbiter() *core.Arbiter {
 			s.checkPointsTo(neighbors, true)
 			// The root must lie on Eve's cycle.
 			if s.isRoot && !s.onCycle {
-				s.ok = false
+				s.fail(-1)
 			}
 			if s.onCycle && s.ok {
 				// Exactly one on-cycle neighbor is my predecessor, and it
 				// must carry the right parity: equal for the root,
-				// opposite for everyone else.
+				// opposite for everyone else. A wrong parity blames its
+				// port: a second predecessor would fail the count.
 				pred := 0
 				succ := 0
-				for _, nb := range cyc {
+				for j, nb := range cyc {
 					if nb.onCycle && nb.id == s.predID {
 						pred++
 						if s.isRoot {
 							if nb.parity != s.parity {
-								s.ok = false
+								s.fail(j)
 							}
 						} else if nb.parity == s.parity {
-							s.ok = false
+							s.fail(j)
 						}
 					}
 					// Successor: a neighbor naming me as its predecessor.
@@ -136,12 +137,13 @@ func NonTwoColorableArbiter() *core.Arbiter {
 					}
 				}
 				if pred != 1 || succ != 1 {
-					s.ok = false
+					s.fail(-1)
 				}
 			}
 			return nil, true
 		},
 		Output: func(sv any) string { return bit(sv.(*oddCycleState).ok) },
+		Blame:  ptBlame,
 	}
 	return &core.Arbiter{
 		Machine:  m,

@@ -153,28 +153,23 @@ func AcyclicArbiter() *core.Arbiter {
 			if round == 1 {
 				return simulate.Broadcast(recv, s.round1Msg()), !s.ok
 			}
-			var neighbors []neighborInfo
-			for _, m := range recv {
-				nb, ok := parseNeighbor(m)
-				if !ok {
-					s.ok = false
-					continue
-				}
-				neighbors = append(neighbors, nb)
-			}
+			neighbors := s.parseAll(recv)
 			s.checkPointsTo(neighbors, true)
 			// Every incident edge must be in the tree: each neighbor is
-			// either my parent or points to me.
-			for _, nb := range neighbors {
+			// either my parent or points to me. A stray edge blames its
+			// port, which is neighbors' index unless a malformed message
+			// already took the blame.
+			for j, nb := range neighbors {
 				isMyParent := !s.isRoot && nb.id == s.parentID
 				pointsToMe := !nb.isRoot && nb.parentID == s.in.ID
 				if !isMyParent && !pointsToMe {
-					s.ok = false
+					s.fail(j)
 				}
 			}
 			return nil, true
 		},
 		Output: func(sv any) string { return bit(sv.(*acyclicState).ok) },
+		Blame:  ptBlame,
 	}
 	return &core.Arbiter{
 		Machine:  m,
@@ -232,15 +227,15 @@ func OddArbiter() *core.Arbiter {
 			}
 			var neighbors []neighborInfo
 			sum := 0
-			for _, m := range recv {
+			for j, m := range recv {
 				i := strings.LastIndexByte(m, ',')
 				if i < 0 {
-					s.ok = false
+					s.fail(j)
 					continue
 				}
 				nb, ok := parseNeighbor(m[:i])
 				if !ok {
-					s.ok = false
+					s.fail(j)
 					continue
 				}
 				neighbors = append(neighbors, nb)
@@ -252,15 +247,16 @@ func OddArbiter() *core.Arbiter {
 			s.checkPointsTo(neighbors, true)
 			// Counter check: my parity = 1 + Σ children parities (mod 2).
 			if o.parity != (1+sum)%2 {
-				s.ok = false
+				s.fail(-1)
 			}
 			// The root's parity is the total cardinality mod 2.
 			if s.isRoot && o.parity != 1 {
-				s.ok = false
+				s.fail(-1)
 			}
 			return nil, true
 		},
 		Output: func(sv any) string { return bit(sv.(*oddState).ok) },
+		Blame:  ptBlame,
 	}
 	return &core.Arbiter{
 		Machine:  m,

@@ -92,16 +92,22 @@ func New(n int, edges []Edge, labels []string) (*Graph, error) {
 	if n <= 0 {
 		return nil, ErrEmptyGraph
 	}
-	if labels == nil {
-		labels = make([]string, n)
-	}
-	if len(labels) != n {
+	if labels != nil && len(labels) != n {
 		return nil, fmt.Errorf("graph: got %d labels for %d nodes", len(labels), n)
 	}
 	for u, l := range labels {
 		if !IsBitString(l) {
 			return nil, fmt.Errorf("node %d label %q: %w", u, l, ErrInvalidLabel)
 		}
+	}
+	// n nodes need n−1 edges to be connected. Checking that first keeps a
+	// tiny input claiming a huge n from allocating anything that grows
+	// with n.
+	if len(edges) < n-1 {
+		return nil, ErrNotConnected
+	}
+	if labels == nil {
+		labels = make([]string, n)
 	}
 	adj := make([][]int, n)
 	seen := make(map[Edge]bool, len(edges))

@@ -18,6 +18,7 @@ func TestNewValidation(t *testing.T) {
 	}{
 		{name: "empty", n: 0, wantErr: ErrEmptyGraph},
 		{name: "disconnected", n: 2, wantErr: ErrNotConnected},
+		{name: "huge and edgeless", n: 1 << 30, wantErr: ErrNotConnected}, // refused before allocating
 		{name: "bad label", n: 1, labels: []string{"2"}, wantErr: ErrInvalidLabel},
 		{name: "single ok", n: 1, labels: []string{"101"}},
 		{name: "triangle ok", n: 3, edges: []Edge{{0, 1}, {1, 2}, {2, 0}}},

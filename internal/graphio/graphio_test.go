@@ -2,6 +2,8 @@ package graphio
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -50,5 +52,27 @@ func TestDecodeMinimal(t *testing.T) {
 	}
 	if g.N() != 1 || g.Label(0) != "" {
 		t.Fatal("minimal graph wrong")
+	}
+}
+
+// TestDecodeHugeNAllocatesLittle: a body of a few bytes that claims a
+// huge node count and has too few edges to connect it is refused as
+// not connected before anything that grows with the count is
+// allocated.
+//
+// Not parallel: TotalAlloc counts the whole process's allocations.
+func TestDecodeHugeNAllocatesLittle(t *testing.T) {
+	const budget = 16 << 10 // bytes: the JSON decoder's own buffers and type cache
+	for _, in := range []string{`{"n":1000000}`, `{"n":2147483647}`, `{"n":1000000,"edges":[[0,1]]}`} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(strings.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, graph.ErrNotConnected) {
+			t.Fatalf("Decode(%q) = %v, want %v", in, err, graph.ErrNotConnected)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+			t.Errorf("Decode(%q) allocated %d bytes, want at most %d", in, got, budget)
+		}
 	}
 }

@@ -141,15 +141,10 @@ func inPlace() *Machine {
 // reject in its last round, having read every certificate, while a
 // higher-index node rejected in round 1 on its own.
 func earlyReject() *Machine {
-	type st struct {
-		out  []string
-		last int
-		ok   bool
-	}
 	return &Machine{
 		Name: "test:early-reject",
 		Init: func(in Input) any {
-			s := &st{out: make([]string, in.Degree), last: 2, ok: len(in.Certs) > 0 && in.Certs[0] != "0"}
+			s := &earlyState{out: make([]string, in.Degree), last: 2, ok: len(in.Certs) > 0 && in.Certs[0] != "0", blame: -1}
 			if len(in.Certs) > 0 {
 				for j := range s.out {
 					s.out[j] = in.Certs[0]
@@ -161,19 +156,97 @@ func earlyReject() *Machine {
 			return s
 		},
 		Round: func(state any, round int, recv []string) ([]string, bool) {
-			s := state.(*st)
+			s := state.(*earlyState)
 			if !s.ok {
 				return s.out, true
 			}
 			if round < s.last {
 				return s.out, false
 			}
-			for _, m := range recv {
-				if m == s.out[0] {
-					s.ok = false
+			for j, m := range recv {
+				if m == s.out[0] && s.ok {
+					s.ok, s.blame = false, j
 				}
 			}
 			return nil, true
+		},
+		Output: func(state any) string {
+			if state.(*earlyState).ok {
+				return "1"
+			}
+			return "0"
+		},
+	}
+}
+
+// earlyState is a node of earlyReject.
+type earlyState struct {
+	out   []string
+	last  int
+	ok    bool
+	blame int // the first port whose last message equals my certificate
+}
+
+// blamingEarlyReject is earlyReject declaring its blame: a node that
+// rejects in its last round blames the first port whose message equals
+// its certificate, which that neighbour's certificate alone fixed.
+func blamingEarlyReject() *Machine {
+	m := earlyReject()
+	m.Name = "test:early-reject-blame"
+	m.Blame = func(state any) int { return state.(*earlyState).blame }
+	return m
+}
+
+// blamer is a colouring-shaped machine with a Blame, over traffic
+// that depends on everything a node has seen. A node whose first
+// certificate is "0", or that has none, rejects and halts in round 1.
+// Every other node halts in a round drawn from its certificates
+// (2..last), folds its label, certificates and every message it
+// receives into a running hash, and sends a digit of that hash to each
+// neighbour every round. In its last round h it rejects when a
+// neighbour's message equals the digit it sends that neighbour, and
+// blames the first such port: that message depends only on B(w, h−2)
+// and the digit only on B(u, h−2). Otherwise it rejects, blaming no
+// port, when the hash of everything it received falls in 1/8 of its
+// range.
+func blamer(name string, last int) *Machine {
+	type st struct {
+		h     uint64
+		halt  int
+		out   []string
+		ok    bool
+		blame int
+	}
+	digit := func(s *st, j int) string { return strconv.FormatUint((s.h>>(2*j))%3, 10) }
+	return &Machine{
+		Name: name,
+		Init: func(in Input) any {
+			s := &st{h: foldHash(0, in.Label), out: make([]string, in.Degree), blame: -1}
+			s.h = foldHash(s.h, in.Certs...)
+			s.ok = len(in.Certs) > 0 && in.Certs[0] != "0"
+			s.halt = 1
+			if s.ok {
+				s.halt = 2 + int(s.h%uint64(last-1))
+			}
+			return s
+		},
+		Round: func(state any, round int, recv []string) ([]string, bool) {
+			s := state.(*st)
+			if round == s.halt && s.ok {
+				for j, m := range recv {
+					if m == digit(s, j) && s.ok {
+						s.ok, s.blame = false, j
+					}
+				}
+				if s.ok && foldHash(s.h, recv...)%8 == 0 {
+					s.ok = false
+				}
+			}
+			s.h = foldHash(s.h, recv...)
+			for j := range s.out {
+				s.out[j] = digit(s, j)
+			}
+			return s.out, round >= s.halt
 		},
 		Output: func(state any) string {
 			if state.(*st).ok {
@@ -181,6 +254,7 @@ func earlyReject() *Machine {
 			}
 			return "0"
 		},
+		Blame: func(state any) int { return state.(*st).blame },
 	}
 }
 
@@ -204,8 +278,16 @@ func (s *byteSource) done() bool { return s.i >= len(s.b) }
 var certOptions = []string{"", "0", "1", "01", "10", "stall"}
 
 // keepRuns counts, per RunAccepted path, the runs of a sequence whose
-// keep left some node's certificates free to redraw.
-type keepRuns struct{ dense, traced int }
+// keep left some node's certificates free to redraw, and among them
+// those whose keep a blame set below every rejecting node's ball.
+type keepRuns struct{ dense, traced, blamedDense, blamedTraced int }
+
+func (k *keepRuns) add(o keepRuns) {
+	k.dense += o.dense
+	k.traced += o.traced
+	k.blamedDense += o.blamedDense
+	k.blamedTraced += o.blamedTraced
+}
 
 // checkIncrementalSequence decodes a connected graph and a sequence of
 // runs from src — random jumps, single-node edits, repeats, nil
@@ -217,7 +299,9 @@ type keepRuns struct{ dense, traced int }
 // Keep on are redrawn at random, and Run must give the same verdict.
 // The machines send from slices of their own (mixer, earlyReject), not
 // at all (certParityAccept), and through the buffer they are lent
-// (inPlace).
+// (inPlace); blamer's keeps come from the ports it blames, after
+// rounds up to 4, so the redraw reaches past B(u, h−2) ∪ B(w, h−2)
+// for h−2 up to 2.
 func checkIncrementalSequence(t testing.TB, data []byte) keepRuns {
 	var freed keepRuns
 	redraw := rand.New(rand.NewSource(int64(len(data))))
@@ -252,6 +336,9 @@ func checkIncrementalSequence(t testing.TB, data []byte) keepRuns {
 		certParityAccept(),
 		earlyReject(),
 		inPlace(),
+		blamingEarlyReject(),
+		blamer("test:blame", 2),
+		blamer("test:blame-late", 4),
 	}
 	m := machines[src.next()%len(machines)]
 	width := 1 + src.next()%2
@@ -321,10 +408,25 @@ func checkIncrementalSequence(t testing.TB, data []byte) keepRuns {
 		if keep == n {
 			continue
 		}
+		balls := n // the keep without blames: the least rejecting ball
+		for u, o := range res.Outputs {
+			if o != "1" {
+				balls = min(balls, 1+sc.reachOf(u, sc.Halt(u)-1))
+			}
+		}
+		if keep > balls {
+			t.Fatalf("step %d (%s, n=%d, dense %v): keep %d above the least rejecting ball %d", step, m.Name, n, dense, keep, balls)
+		}
 		if dense {
 			freed.dense++
+			if keep < balls {
+				freed.blamedDense++
+			}
 		} else {
 			freed.traced++
+			if keep < balls {
+				freed.blamedTraced++
+			}
 		}
 		// Nodes from keep on get any lists that let them halt: any options
 		// but the last, "stall".
@@ -367,12 +469,14 @@ func TestIncrementalRunMatchesRun(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		data := make([]byte, 40+rng.Intn(1200))
 		rng.Read(data)
-		f := checkIncrementalSequence(t, data)
-		freed.dense += f.dense
-		freed.traced += f.traced
+		freed.add(checkIncrementalSequence(t, data))
 	}
 	if freed.dense == 0 || freed.traced == 0 {
 		t.Fatalf("runs with keep < n: %d dense, %d traced; want both paths to free some nodes", freed.dense, freed.traced)
+	}
+	if freed.blamedDense == 0 || freed.blamedTraced == 0 {
+		t.Fatalf("runs whose blame kept less than a ball: %d dense, %d traced; want both paths to jump on blames",
+			freed.blamedDense, freed.blamedTraced)
 	}
 }
 
@@ -425,6 +529,14 @@ func TestIncrementalRunSkipsUnreachedNodes(t *testing.T) {
 // on its own "0". Both passes keep the smallest rejecting ball, node 3
 // alone, so the keep is 4: the traced first run, and the dense second
 // one that follows a run whose rounds reached the diameter.
+//
+// With blames, node 0 blames node 1, whose certificate equals its own,
+// and keeps nodes 0 and 1. Under colours a, b, b, c, a, node 0 rejects
+// first but
+// blames node 4, which keeps all five nodes, while nodes 1 and 2 blame
+// each other and keep three. Node 1's ball is all of K5, no smaller
+// than the keep node 0 left, so the dense pass must read it for its
+// blame. Both passes keep 3.
 func TestDenseKeepIsSmallestRejectingBall(t *testing.T) {
 	t.Parallel()
 	g := graph.Complete(5)
@@ -432,18 +544,27 @@ func TestDenseKeepIsSmallestRejectingBall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, certs := earlyReject(), [][]string{{"1"}, {"1"}, {"1"}, {"0"}, {"1"}}
-	sc := p.NewScratch()
-	for _, path := range []string{"traced", "dense"} {
-		if dense := sc.rounds > 0 && sc.rounds-1 >= sc.diam; dense != (path == "dense") {
-			t.Fatalf("%s run: dense pass %v", path, dense)
-		}
-		ok, err := p.RunAccepted(m, certs, 0, sc)
-		if err != nil || ok {
-			t.Fatalf("%s run: (%v, %v), want (false, nil)", path, ok, err)
-		}
-		if k := sc.Keep(); k != 4 {
-			t.Fatalf("%s run: keep %d, want 4", path, k)
+	for _, c := range []struct {
+		m     *Machine
+		certs [][]string
+		keep  int
+	}{
+		{earlyReject(), [][]string{{"1"}, {"1"}, {"1"}, {"0"}, {"1"}}, 4},
+		{blamingEarlyReject(), [][]string{{"1"}, {"1"}, {"1"}, {"0"}, {"1"}}, 2},
+		{blamingEarlyReject(), [][]string{{"a"}, {"b"}, {"b"}, {"c"}, {"a"}}, 3},
+	} {
+		sc := p.NewScratch()
+		for _, path := range []string{"traced", "dense"} {
+			if dense := sc.rounds > 0 && sc.rounds-1 >= sc.diam; dense != (path == "dense") {
+				t.Fatalf("%s %q %s run: dense pass %v", c.m.Name, c.certs, path, dense)
+			}
+			ok, err := p.RunAccepted(c.m, c.certs, 0, sc)
+			if err != nil || ok {
+				t.Fatalf("%s %q %s run: (%v, %v), want (false, nil)", c.m.Name, c.certs, path, ok, err)
+			}
+			if k := sc.Keep(); k != c.keep {
+				t.Fatalf("%s %q %s run: keep %d, want %d", c.m.Name, c.certs, path, k, c.keep)
+			}
 		}
 	}
 }

@@ -94,16 +94,21 @@ func (sc *Scratch) NodeRuns() int64 { return sc.nodeRuns }
 // Keep returns the length k of the node prefix 0..k−1 whose
 // certificates fix the verdict of the last RunAccepted on sc: every run
 // of the same machine whose certificate lists agree with that run's on
-// nodes 0..k−1 has the same verdict, whatever the other nodes hold. A
-// node that halts in round h has read only the certificates within
-// distance h−1 of it, its ball, so one rejecting node fixes a reject
-// and every node together fixes an accept. For a reject, k is thus the
-// minimum over rejecting nodes u of 1 + the largest node index in u's
-// ball. Both passes reach that minimum: after its first rejecting node
-// the dense pass reads only the verdicts of nodes whose ball would
-// lower it. For an accept, k is the maximum of that over all
-// nodes, which node n−1's own ball makes the node count n; so is k
-// after an error.
+// nodes 0..k−1 has the same verdict, whatever the other nodes hold.
+// One rejecting node fixes a reject, and every node together fixes an
+// accept, so for a reject k is the minimum over rejecting nodes u of
+// 1 + the largest node index in the region that fixes u's reject, and
+// for an accept it is the node count n; so is k after an error.
+//
+// A node that halts in round h has read only the certificates within
+// distance h−1 of it, its ball B(u, h−1), which is therefore its region.
+// When the machine declares a Blame and u, halting in round h ≥ 2,
+// blames the port of its neighbour w, the region shrinks to
+// B(u, h−2) ∪ B(w, h−2): u's own state after round h−1 and w's round
+// h−1 message (see Machine.Blame). Both passes reach the minimum: after
+// its first rejecting node the dense pass reads only the verdicts of
+// nodes whose region could still lower it, and a node whose ball ends
+// at or past the keep can still lower it through its blame.
 //
 // An accept fixes more per node: node u's verdict, and its halting
 // round h (see Halt), depend only on the certificates in its ball
@@ -118,10 +123,33 @@ func (sc *Scratch) Keep() int { return sc.keep }
 // on sc, which must have returned without an error.
 func (sc *Scratch) Halt(u int) int { return sc.done[u] }
 
-// ball returns 1 + the largest node index within distance halt−1 of u,
-// for a node u that halted in round halt.
-func (sc *Scratch) ball(u, halt int) int {
-	return 1 + int(sc.reach[u*(sc.diam+1)+min(halt-1, sc.diam)])
+// reachOf returns the largest node index within distance r ≥ 0 of u.
+func (sc *Scratch) reachOf(u, r int) int {
+	return int(sc.reach[u*(sc.diam+1)+min(r, sc.diam)])
+}
+
+// floor returns the least keep node u's reject in the last run can
+// give: 1 + the largest node index of B(u, h−2) when m may blame a
+// port after u's halting round h, and of u's ball B(u, h−1) otherwise.
+func (sc *Scratch) floor(m *Machine, u int) int {
+	h := sc.done[u]
+	if h >= 2 && m.Blame != nil {
+		return 1 + sc.reachOf(u, h-2)
+	}
+	return 1 + sc.reachOf(u, h-1)
+}
+
+// rejectKeep returns the keep of node u, which rejected in the last
+// run: 1 + the largest node index in the region that fixes its reject
+// (see Keep).
+func (p *Prepared) rejectKeep(m *Machine, u int, sc *Scratch) int {
+	h := sc.done[u]
+	if h >= 2 && m.Blame != nil {
+		if j := m.Blame(sc.states[u]); j >= 0 && j < len(p.neighborOrder[u]) {
+			return 1 + max(sc.reachOf(u, h-2), sc.reachOf(p.neighborOrder[u][j], h-2))
+		}
+	}
+	return 1 + sc.reachOf(u, h-1)
 }
 
 // RunAccepted is the fast path of Run for game leaves: it executes m
@@ -246,11 +274,11 @@ func (p *Prepared) RunAccepted(m *Machine, certs [][]string, maxRounds int, sc *
 	sc.used, sc.rounds = rounds, rounds
 	if dense {
 		// Every node until the first reject, then only the nodes whose
-		// ball could still shrink the keep: u's ball ends past u.
+		// region could still shrink the keep: u's region ends past u.
 		accepted := true
 		for u := 0; u < n && (accepted || u+1 < sc.keep); u++ {
-			if b := sc.ball(u, sc.done[u]); (accepted || b < sc.keep) && m.Output(sc.states[u]) != "1" {
-				accepted, sc.keep = false, b
+			if (accepted || sc.floor(m, u) < sc.keep) && m.Output(sc.states[u]) != "1" {
+				accepted, sc.keep = false, min(sc.keep, p.rejectKeep(m, u, sc))
 			}
 		}
 		return accepted, nil
@@ -262,7 +290,9 @@ func (p *Prepared) RunAccepted(m *Machine, certs [][]string, maxRounds int, sc *
 		}
 		if !sc.ok[u] {
 			accepted = false
-			sc.keep = min(sc.keep, sc.ball(u, sc.done[u]))
+			if sc.floor(m, u) < sc.keep {
+				sc.keep = min(sc.keep, p.rejectKeep(m, u, sc))
+			}
 		}
 	}
 	sc.valid = true

@@ -91,6 +91,22 @@ type Machine struct {
 	// Output extracts the node's final output label (its verdict when the
 	// machine is used as a decision procedure: "1" accepts).
 	Output func(st any) string
+	// Blame is optional. Called on the final state of a node u that
+	// rejected and halted in round h ≥ 2, it returns a port j (an index
+	// into recv) whose round-h message, sent by the j-th neighbour w in
+	// round h−1, fixed the reject together with u's own state after
+	// round h−1: u rejects in every run that agrees with this one on
+	// the certificates, labels and identifiers in B(u, h−2) ∪
+	// B(w, h−2), whatever its other neighbours send. −1 names no port,
+	// which is always sound. The contract is on the verdict alone,
+	// since a keep reads no halting round of a rejecting node.
+	// Prepared.RunAccepted keeps that smaller region in place of u's
+	// ball (see Scratch.Keep); Run ignores the field. A wrong port gives
+	// wrong game values, so every machine that declares a Blame is
+	// checked against this contract on generated inputs
+	// (internal/simulate/machinetest). Blame must not allocate or change
+	// the state.
+	Blame func(st any) int
 }
 
 // Broadcast fills recv with msg and returns it: the sends of a node
